@@ -4,7 +4,7 @@ emit CSV tables and optional delivery traces.
 Subcommands: bound | waterfill | walk | phases | audit | simulate | sweep.
 Global flags: --config FILE (required), --seed N (replaces the config's seed
 list with the single seed N), --out FILE (write the CSV there instead of
-stdout), --echo-config (print the normalized config and exit).
+stdout; [output] csv when absent), --echo-config (print the config and exit).
 
 Output conventions: CSV tables always start with '#' comment lines recording
 the package version and the seeds in effect, followed by a header row; floats
@@ -342,7 +342,8 @@ def main(argv=None) -> int:
         if args.echo_config:
             _emit(render_config(cfg), args.out)
             return 0
-        return _COMMANDS[args.command](cfg, args.out)
+        out_path = args.out if args.out is not None else cfg.out_csv
+        return _COMMANDS[args.command](cfg, out_path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -352,7 +353,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-
-
-def console_main() -> None:  # pragma: no cover - thin wrapper
-    sys.exit(main())

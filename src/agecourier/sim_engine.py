@@ -15,19 +15,21 @@ Within every slot t the event order is fixed:
 Under this order a sample generated at slot g and picked up by a conveyor
 departing baseward in the g -> g+1 transition reaches the base at g + depth.
 
-Two engines produce bit-identical results for unconstrained runs. The literal
-per-slot stepper is the reference (and the only engine for energy runs). The
-fast path exploits the fact that unconstrained conveyor motion repeats every
-walk period: for each origin and each slot residue it pre-simulates, under the
-exact event order above, how many slots a fresh sample needs to reach the base,
-then replays the per-node generation processes through that table. The test
-suite asserts equality between the two across seeds, trees, and phase sets.
+One engine serves every run. Conveyor motion never depends on sensing, so a
+backward earliest-arrival DP over the conveyor trajectory gives each sample's
+first delivery slot, and a vectorized replay of the generation processes turns
+those into the delivery log and exact ages. `run` takes the DP over a few walk
+periods once per schedule (motion repeats every period); `run_energy` takes it
+over the horizon. The literal per-slot stepper stays as the reference; the
+tests assert bit-identical results across trees, phases, and batteries.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, islice
 
 import numpy as np
 
@@ -193,6 +195,8 @@ class SimConfig:
             raise ConfigInvalid(
                 f"need 0 <= warmup < horizon, got warmup={self.warmup}, horizon={self.horizon}"
             )
+        if 2 * self.horizon**2 >= 2**63:  # int64 age sums (lo + hi - 1) * n
+            raise ConfigInvalid(f"horizon must be < 2**31, got {self.horizon}")
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
         if self.walk.length != 2 * k:
@@ -249,7 +253,9 @@ def run(cfg: SimConfig, engine: str = "auto") -> SimResult:
     if cfg.energy is not None:
         raise ConfigInvalid("config carries energy parameters; use run_energy")
     if engine == "auto" or engine == "table":
-        return _run_table(cfg)
+        L = cfg.walk.length
+        delay = _transport_delay_table(cfg.walk.sequence, cfg.phase_set.phases)
+        return _replay(cfg, lambda node, gens: gens + delay[node][gens % L])
     if engine == "stepper":
         return _run_stepper(cfg, None)
     raise ConfigInvalid(f"unknown engine {engine!r}")
@@ -274,11 +280,101 @@ def run_energy(cfg: SimConfig) -> SimResult:
             f"b_max={cfg.energy.b_max} cannot cover a depth-{max_depth} return "
             f"at e_move={cfg.energy.e_move}"
         )
-    return _run_stepper(cfg, cfg.energy)
+    stats = [[0] * len(cfg.phase_set.phases) for _ in range(4)]
+    positions = _fleet_positions(cfg, cfg.energy, stats)
+    trajectory = [tuple(pos) for pos in islice(positions, cfg.horizon)]
+    times, arrive = _earliest_arrival(trajectory, cfg.graph.node_count)
+    return _replay(
+        cfg,
+        lambda node, gens: arrive[node][np.searchsorted(times[node], gens)],
+        _energy_trace(stats),
+    )
 
 
 def _node_probs(model: SensingModel, alloc: SensingAllocation) -> list[float]:
     return [success_probability(model, i, mi) for i, mi in enumerate(alloc.m)]
+
+
+# ---------------------------------------------------------------------------
+# conveyor motion, shared by both engines
+# ---------------------------------------------------------------------------
+
+def _fleet_positions(cfg: SimConfig, energy: EnergyParams | None, stats):
+    """Yield every conveyor's position for slots 0, 1, 2, ... as one list
+    updated in place. stats holds four per-conveyor counter lists in
+    ConveyorEnergyStats order (recharges, charge, hold and return slots).
+    Unconstrained motion is the zero move cost case: every hop is affordable
+    and no conveyor starts docked.
+    """
+    if energy is None:
+        energy = EnergyParams(b_max=1.0, e_move=0.0, r_chg=1.0)
+    L = cfg.walk.length
+    w = cfg.walk.sequence[:L]
+    phases = cfg.phase_set.phases
+    pos = [w[phi % L] for phi in phases]
+    b_max, e_move, r_chg = energy.b_max, energy.e_move, energy.r_chg
+    recharges, charge_slots, hold_slots, return_slots = stats
+    depth = cfg.tree.depth
+    par = [0] * cfg.graph.node_count
+    for i, p in cfg.tree.parent.items():
+        par[i] = p
+    state = [_FOLLOW] * len(phases)
+    # Initial charge levels are staggered: each conveyor draws a level
+    # uniformly in [0, b_max) from the base-node stream (the base never
+    # senses, so this collides with no sensing stream).  A conveyor whose
+    # draw covers its local reserve starts on the walk; one that cannot
+    # afford a single hop plus the ride home starts docked and charging.
+    # The stagger spreads depletion/recharge cycles across the fleet; a
+    # fleet that starts uniformly full depletes in lockstep and goes dark
+    # in lockstep, and relative cycle offsets never change afterwards
+    # because every conveyor advances through the same deterministic
+    # deplete/return/charge/rejoin map.
+    battery = (b_max * node_stream(cfg.seed, BASE).random(len(phases))).tolist()
+    for c, b0 in enumerate(battery):
+        if b0 < e_move * (depth[pos[c]] + 1.0):
+            pos[c] = BASE
+            state[c] = _CHARGE
+    yield pos
+    for t in count(1):
+        for c, phi in enumerate(phases):
+            st = state[c]
+            if st == _FOLLOW:
+                nxt = w[(t + phi) % L]
+                if battery[c] - e_move >= e_move * depth[nxt]:
+                    pos[c] = nxt
+                    battery[c] -= e_move
+                    continue
+                st = _RETURN
+            if st == _RETURN:
+                p = pos[c]
+                if p != BASE:
+                    p = par[p]
+                    pos[c] = p
+                    battery[c] -= e_move
+                    return_slots[c] += 1
+                    state[c] = _CHARGE if p == BASE else _RETURN
+                    continue
+                st = _CHARGE
+            if st == _CHARGE:
+                charge_slots[c] += 1
+                b = battery[c] + r_chg
+                if b < b_max:
+                    battery[c] = b
+                    state[c] = _CHARGE
+                    continue
+                battery[c] = b_max
+                recharges[c] += 1
+            # holding at the base until the nominal position aligns
+            if w[(t + phi) % L] == BASE:
+                state[c] = _FOLLOW
+            else:
+                state[c] = _HOLD
+                hold_slots[c] += 1
+        yield pos
+
+
+def _energy_trace(stats) -> tuple[ConveyorEnergyStats, ...]:
+    return tuple(ConveyorEnergyStats(c, *counts) for c, counts in enumerate(zip(*stats)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,47 +385,11 @@ def _run_stepper(cfg: SimConfig, energy: EnergyParams | None) -> SimResult:
     nodes = cfg.graph.node_count
     k = nodes - 1
     horizon, warmup = cfg.horizon, cfg.warmup
-    L = cfg.walk.length
-    w = list(cfg.walk.sequence[:L])
-    depth = list(cfg.tree.depth)
-    par = [0] * nodes
-    for i, p in cfg.tree.parent.items():
-        par[i] = p
-    phases = list(cfg.phase_set.phases)
-    nc = len(phases)
     qs = _node_probs(cfg.model, cfg.alloc)
     masks = [generation_mask(cfg.seed, i + 1, qs[i], horizon).tolist() for i in range(k)]
-
-    pos = [w[phi % L] for phi in phases]
-    state = [_FOLLOW] * nc
-    if energy is None:
-        battery = [0.0] * nc
-    else:
-        # Initial charge levels are staggered: each conveyor draws a level
-        # uniformly in [0, b_max) from the base-node stream (the base never
-        # senses, so this collides with no sensing stream).  A conveyor whose
-        # draw covers its local reserve starts on the walk; one that cannot
-        # afford a single hop plus the ride home starts docked and charging.
-        # The stagger spreads depletion/recharge cycles across the fleet; a
-        # fleet that starts uniformly full depletes in lockstep and goes dark
-        # in lockstep, and relative cycle offsets never change afterwards
-        # because every conveyor advances through the same deterministic
-        # deplete/return/charge/rejoin map.
-        draws = node_stream(cfg.seed, BASE).random(nc)
-        battery = [0.0] * nc
-        for c in range(nc):
-            b0 = energy.b_max * draws[c]
-            start = w[phases[c] % L]
-            if b0 >= energy.e_move * (depth[start] + 1.0):
-                battery[c] = b0
-            else:
-                battery[c] = b0
-                pos[c] = BASE
-                state[c] = _CHARGE
-    recharges = [0] * nc
-    charge_slots = [0] * nc
-    hold_slots = [0] * nc
-    return_slots = [0] * nc
+    nc = len(cfg.phase_set.phases)
+    stats = [[0] * nc for _ in range(4)]
+    positions = _fleet_positions(cfg, energy, stats)
 
     # per-robot freshest sample per origin: generation slot and sensing start
     store_g = [[-1] * k for _ in range(nc)]
@@ -348,51 +408,8 @@ def _run_stepper(cfg: SimConfig, energy: EnergyParams | None) -> SimResult:
     ev_gen: list[int] = []
     ev_del: list[int] = []
 
-    if energy is not None:
-        b_max, e_move, r_chg = energy.b_max, energy.e_move, energy.r_chg
-
-    for t in range(horizon):
-        # 1. move
-        if t:
-            if energy is None:
-                for c in range(nc):
-                    pos[c] = w[(t + phases[c]) % L]
-            else:
-                for c in range(nc):
-                    st = state[c]
-                    if st == _FOLLOW:
-                        nxt = w[(t + phases[c]) % L]
-                        if battery[c] - e_move >= e_move * depth[nxt]:
-                            pos[c] = nxt
-                            battery[c] -= e_move
-                            continue
-                        st = _RETURN
-                    if st == _RETURN:
-                        p = pos[c]
-                        if p != BASE:
-                            p = par[p]
-                            pos[c] = p
-                            battery[c] -= e_move
-                            return_slots[c] += 1
-                            state[c] = _CHARGE if p == BASE else _RETURN
-                            continue
-                        st = _CHARGE
-                    if st == _CHARGE:
-                        charge_slots[c] += 1
-                        b = battery[c] + r_chg
-                        if b < b_max:
-                            battery[c] = b
-                            state[c] = _CHARGE
-                            continue
-                        battery[c] = b_max
-                        recharges[c] += 1
-                        st = _HOLD
-                    # holding at the base until the nominal position aligns
-                    if w[(t + phases[c]) % L] == BASE:
-                        state[c] = _FOLLOW
-                    else:
-                        state[c] = _HOLD
-                        hold_slots[c] += 1
+    for t, pos in zip(range(horizon), positions):
+        # 1. move: the generator has placed every conveyor for slot t
 
         # 2. deliveries: collect the freshest arrival per origin this slot
         for c in range(nc):
@@ -479,79 +496,79 @@ def _run_stepper(cfg: SimConfig, energy: EnergyParams | None) -> SimResult:
     per_node = {o + 1: aoi_sum[o] / n_slots for o in range(k)}
     network = sum(per_node.values()) / k
     log = DeliveryLog(ev_origin, ev_start, ev_gen, ev_del, [True] * len(ev_origin))
-    trace = None
-    if energy is not None:
-        trace = tuple(
-            ConveyorEnergyStats(
-                conveyor=c,
-                recharges=recharges[c],
-                charge_slots=charge_slots[c],
-                hold_slots=hold_slots[c],
-                return_slots=return_slots[c],
-            )
-            for c in range(nc)
-        )
     return SimResult(
-        per_node_aoi=per_node, network_aoi=network, delivery_log=log, energy_trace=trace
+        per_node_aoi=per_node,
+        network_aoi=network,
+        delivery_log=log,
+        energy_trace=None if energy is None else _energy_trace(stats),
     )
 
 
 # ---------------------------------------------------------------------------
-# fast engine: periodic transport-delay table
+# fast engine: earliest-arrival DP over the conveyor trajectory, then replay
 # ---------------------------------------------------------------------------
 
+def _earliest_arrival(trajectory, node_count: int):
+    """X(v, t): first base delivery of a sample held in v's cache after the
+    gossip step of slot t, given every conveyor's position per slot.
+
+    X(v, t) = min(X(v, t+1), C(c, t)) over conveyors c at non-base v in slot
+    t, with C(c, t) = t+1 if c is at the base in slot t+1, else
+    X(pos(c, t+1), t+1). X(v, .) only drops at conveyor visits, so it comes
+    back as per-node change lists, not an H x n array:
+    X(v, g) = arrive[v][np.searchsorted(times[v], g)], where len(trajectory)
+    means undelivered.
+    """
+    T = len(trajectory)
+    x = [T] * node_count  # X(., t+1) while slot t is processed
+    rev_times = [array("q") for _ in range(node_count)]
+    rev_arrive = [array("q") for _ in range(node_count)]
+    for t in range(T - 2, -1, -1):
+        t1 = t + 1
+        # read every X(., t1) before this slot lowers any of them
+        pairs = zip(trajectory[t], trajectory[t1])
+        offers = [(v, t1 if u == BASE else x[u]) for v, u in pairs if v != BASE]
+        for v, a in offers:
+            if a < x[v]:
+                x[v] = a
+                rev_times[v].append(t)
+                rev_arrive[v].append(a)
+    times = [np.array(r[::-1], dtype=np.int64) for r in rev_times]
+    arrive = [np.append(np.array(r[::-1], dtype=np.int64), T) for r in rev_arrive]
+    return times, arrive
+
+
 @lru_cache(maxsize=128)
-def _transport_delay_table(
-    walk_seq: tuple[int, ...], phases: tuple[int, ...], node_count: int
-) -> tuple[tuple[int, ...], ...]:
-    """delay[i][r]: slots from a sample's generation at node i on slot residue
+def _transport_delay_table(walk_seq: tuple[int, ...], phases: tuple[int, ...]) -> np.ndarray:
+    """delay[i, r]: slots from a sample's generation at node i on slot residue
     r until its first base delivery, under maximal gossip spread.
 
-    Computed by stepping one marked sample through the periodic conveyor
-    schedule with the exact slot event order (gossip after generation, base
-    check on the following slots). Conveyor marks are bitmask sets.
+    Unconstrained motion repeats every walk period L, so the arrival DP over
+    L + 3L + 3 slots gives every residue with a 3L + 3 slot allowance for the
+    trip. The array is read-only because the cache shares it.
     """
     L = len(walk_seq) - 1
-    w = walk_seq[:L]
-    conv_masks = []
-    for r in range(L):
-        row = [0] * node_count
-        for c, phi in enumerate(phases):
-            row[w[(r + phi) % L]] |= 1 << c
-        conv_masks.append(row)
-
-    delay = [[0] * L for _ in range(node_count)]
-    for origin in range(1, node_count):
-        for r in range(L):
-            cache = 1 << origin  # node bitmask of caches holding the sample
-            convs = 0  # conveyor bitmask
-            tau = 0
-            while True:
-                row = conv_masks[(r + tau) % L]
-                for v in range(1, node_count):
-                    cv = row[v]
-                    if cv:
-                        if (cache >> v) & 1:
-                            convs |= cv
-                        elif convs & cv:
-                            cache |= 1 << v
-                            convs |= cv
-                tau += 1
-                if convs & conv_masks[(r + tau) % L][BASE]:
-                    delay[origin][r] = tau
-                    break
-                if tau > 3 * L + 2:
-                    raise AssertionError("transport table failed to converge")
-    return tuple(tuple(row) for row in delay)
+    T = L + 3 * L + 3
+    trajectory = [tuple(walk_seq[(t + phi) % L] for phi in phases) for t in range(T)]
+    times, arrive = _earliest_arrival(trajectory, L // 2 + 1)
+    r = np.arange(L)
+    first = np.array([a[np.searchsorted(ts, r)] for ts, a in zip(times, arrive)])
+    if first[1:].max() >= T:
+        raise AssertionError("transport table failed to converge")
+    delay = first - r
+    delay.setflags(write=False)
+    return delay
 
 
-def _run_table(cfg: SimConfig) -> SimResult:
-    nodes = cfg.graph.node_count
-    k = nodes - 1
+def _replay(cfg: SimConfig, deliver, energy_trace=None) -> SimResult:
+    """Run the per-node generation processes through deliver(node, gens),
+    the first base delivery slot of each sample generated at node in slots
+    gens (at or past the horizon: undelivered). The base logs a sample only
+    when it strictly refreshes its copy, at most one per origin per slot.
+    """
+    k = cfg.graph.node_count - 1
     horizon, warmup = cfg.horizon, cfg.warmup
-    L = cfg.walk.length
     qs = _node_probs(cfg.model, cfg.alloc)
-    delay = _transport_delay_table(cfg.walk.sequence, cfg.phase_set.phases, nodes)
 
     n_slots = horizon - warmup
     per_node: dict[int, float] = {}
@@ -568,8 +585,7 @@ def _run_table(cfg: SimConfig) -> SimResult:
             starts = np.empty_like(gens)
             starts[0] = 0
             starts[1:] = gens[:-1] + 1
-            f = np.asarray(delay[node], dtype=np.int64)
-            d = gens + f[gens % L]
+            d = deliver(node, gens)
             sel = d < horizon
             d1, g1, s1 = d[sel], gens[sel], starts[sel]
         else:
@@ -612,7 +628,9 @@ def _run_table(cfg: SimConfig) -> SimResult:
     srt = np.concatenate(all_s)
     idx = np.lexsort((org, del_))  # slot order, origins ascending within a slot
     log = DeliveryLog(org[idx], srt[idx], gen[idx], del_[idx], np.ones(idx.size, dtype=bool))
-    return SimResult(per_node_aoi=per_node, network_aoi=network, delivery_log=log)
+    return SimResult(
+        per_node_aoi=per_node, network_aoi=network, delivery_log=log, energy_trace=energy_trace
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Config parsing, rendering round-trips, and the command-line front-end."""
 
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -276,3 +278,25 @@ def test_cli_out_file_matches_stdout(tmp_path, capsys):
     code2, _, _ = run_cli(capsys, "bound", "--config", path, "--out", str(target))
     assert code == code2 == 0
     assert target.read_text() == out
+
+
+def test_cli_output_csv_is_the_default_out_path(tmp_path, capsys):
+    default = tmp_path / "default.csv"
+    path = write_config(tmp_path, BASE_CONFIG + f"\n[output]\ncsv = {default}\n")
+    code, out, _ = run_cli(capsys, "bound", "--config", path)
+    assert code == 0 and out == ""
+    override = tmp_path / "override.csv"
+    code, _, _ = run_cli(capsys, "bound", "--config", path, "--out", str(override))
+    assert code == 0
+    assert override.read_text() == default.read_text()
+    assert default.read_text().splitlines()[-1].startswith("network,")
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path)
+    code, expected, _ = run_cli(capsys, "bound", "--config", path)
+    monkeypatch.setattr(sys, "argv", ["agecourier", "bound", "--config", path])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("agecourier", run_name="__main__")
+    assert exc.value.code == code == 0
+    assert capsys.readouterr().out == expected

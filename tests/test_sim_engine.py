@@ -5,13 +5,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agecourier as ac
 from agecourier.sim_engine import (
+    BASE,
     BatteryTooSmall,
     ConfigInvalid,
     InvalidProbability,
     UnsortedLog,
+    _fleet_positions,
+    _run_stepper,
 )
 
 from _support import (
@@ -20,6 +25,7 @@ from _support import (
     random_tree_graph,
     ref_config,
     ref_walk,
+    trend_config,
 )
 
 
@@ -93,6 +99,13 @@ def test_config_validation_errors():
     ):
         with pytest.raises(ConfigInvalid):
             bad.validate()
+
+
+def test_horizon_too_long_for_int64_age_sums_is_rejected():
+    good = ref_config()
+    dataclasses.replace(good, horizon=2**31 - 1).validate()
+    with pytest.raises(ConfigInvalid, match="horizon"):
+        dataclasses.replace(good, horizon=2**31).validate()
 
 
 def test_run_dispatch_guards():
@@ -339,3 +352,123 @@ def test_walk_positions_follow_offsets():
     base_slots = {j for j in range(14) if walk.sequence[(5 + j) % 14] == 0}
     assert len(res.delivery_log) > 0
     assert {int(d) % 14 for d in res.delivery_log.delivered} <= base_slots
+
+
+# ---------------------------------------------------------------------------
+# battery runs: arrival-DP engine against the stepper oracle
+# ---------------------------------------------------------------------------
+
+def _assert_matches_stepper(cfg: ac.SimConfig) -> ac.SimResult:
+    fast = checked_run_energy(cfg)
+    ref = _run_stepper(cfg, cfg.energy)
+    _assert_identical(fast, ref)
+    assert fast.energy_trace == ref.energy_trace
+    return fast
+
+
+def test_battery_engine_matches_stepper_on_reference_and_trend():
+    for n_c in (14, 7, 3):
+        for seed in (0, 5):
+            _assert_matches_stepper(
+                ref_config(n_c=n_c, horizon=3000, warmup=200, seed=seed,
+                           energy=ac.EnergyParams(b_max=12.0, e_move=1.0, r_chg=2.0))
+            )
+    for b_max in (20.0, 30.0, 40.0):
+        res = _assert_matches_stepper(trend_config(b_max=b_max, seed=2, horizon=3000, warmup=200))
+        assert sum(s.recharges for s in res.energy_trace) > 0
+
+
+def test_battery_engine_matches_stepper_on_random_trees():
+    rng = np.random.default_rng(77)
+    for _ in range(12):
+        n = int(rng.integers(2, 12))
+        g = random_tree_graph(rng, n)
+        tree = ac.shortest_path_tree(g)
+        walk = ac.euler_walk(tree)
+        L = walk.length
+        n_c = int(rng.integers(1, L + 1))
+        e_move = float(rng.choice([0.5, 1.0, 2.0]))
+        b_max = e_move * max(tree.depth) + float(rng.choice([0.0, 1.5, 6.0, 20.0]))
+        r_chg = float(rng.choice([0.5, 2.0]))
+        _assert_matches_stepper(
+            ac.SimConfig(
+                graph=g,
+                tree=tree,
+                walk=walk,
+                phase_set=ac.random_phases(n_c, L, seed=int(rng.integers(1 << 20))),
+                model=ac.make_model(tuple(rng.uniform(1.0, 9.0, size=n - 1)), max_m=3),
+                alloc=ac.SensingAllocation(tuple(int(m) for m in rng.integers(1, 4, size=n - 1))),
+                horizon=1500,
+                warmup=100,
+                seed=int(rng.integers(1 << 20)),
+                energy=ac.EnergyParams(b_max=b_max, e_move=e_move, r_chg=r_chg),
+            )
+        )
+
+
+def test_battery_engine_edge_cases_match_stepper():
+    walk = ref_walk()
+    # conveyors that start docked: the stagger leaves some off their walk position
+    docked = ref_config(
+        horizon=2000, seed=3, energy=ac.EnergyParams(b_max=12.0, e_move=2.0, r_chg=2.0)
+    )
+    start = next(_fleet_positions(docked, docked.energy, [[0] * 14 for _ in range(4)]))
+    assert any(p == BASE != walk.sequence[phi] for p, phi in zip(start, docked.phase_set.phases))
+    _assert_matches_stepper(docked)
+    # battery exactly covers the deepest return (depth 3)
+    _assert_matches_stepper(
+        ref_config(horizon=2000, seed=4, energy=ac.EnergyParams(b_max=6.0, e_move=2.0, r_chg=1.0))
+    )
+    _assert_matches_stepper(trend_config(b_max=6.0, seed=4, horizon=2000, warmup=100))
+    # free moves: the detour logic never fires
+    res = _assert_matches_stepper(
+        ref_config(
+            n_c=5, horizon=2000, seed=6, energy=ac.EnergyParams(b_max=5.0, e_move=0.0, r_chg=1.0)
+        )
+    )
+    assert all(s.recharges == s.return_slots == 0 for s in res.energy_trace)
+
+
+@st.composite
+def _random_instances(draw):
+    n = draw(st.integers(2, 9))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    g = ac.build_graph(n, edges)
+    tree = ac.shortest_path_tree(g)
+    walk = ac.euler_walk(tree)
+    L = walk.length
+    phases = draw(st.sets(st.integers(0, L - 1), min_size=1, max_size=L))
+    k = n - 1
+    alphas = draw(st.lists(st.floats(1.0, 9.0), min_size=k, max_size=k))
+    m = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    energy = None
+    if draw(st.booleans()):
+        e_move = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+        slack = draw(st.sampled_from([0.0, 0.5, 2.0, 7.5, 30.0]))
+        energy = ac.EnergyParams(
+            b_max=(e_move * max(tree.depth) + slack) or 1.0,
+            e_move=e_move,
+            r_chg=draw(st.floats(0.25, 5.0)),
+        )
+    horizon = draw(st.integers(20, 600))
+    return ac.SimConfig(
+        graph=g,
+        tree=tree,
+        walk=walk,
+        phase_set=ac.PhaseSet(tuple(sorted(phases)), L),
+        model=ac.make_model(tuple(alphas), max_m=3),
+        alloc=ac.SensingAllocation(tuple(m)),
+        horizon=horizon,
+        warmup=draw(st.integers(0, horizon - 1)),
+        seed=draw(st.integers(0, 2**20)),
+        energy=energy,
+    )
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(_random_instances())
+def test_arrival_dp_equals_stepper_property(cfg):
+    if cfg.energy is None:
+        _assert_identical(checked_run(cfg), _run_stepper(cfg, None))
+    else:
+        _assert_matches_stepper(cfg)
