@@ -47,15 +47,12 @@ from .sensing_alloc import (
 )
 from .sim_engine import (
     EnergyParams,
-    Sample,
-    DeliveryEvent,
     DeliveryLog,
     SimConfig,
     SimResult,
     ConveyorEnergyStats,
     node_stream,
     generation_mask,
-    draw_sensing_time,
     run,
     run_energy,
     aoi_from_event_log,

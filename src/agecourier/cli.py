@@ -45,7 +45,7 @@ from .sensing_alloc import (
     uniform_alloc,
     water_fill,
 )
-from .sim_engine import SimConfig, run, run_energy
+from .sim_engine import DeliveryLog, SimConfig, run, run_energy
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
     alloc = _build_alloc(cfg, model)
     bound = lower_bound(model, alloc, bfs_distances(graph))
 
-    results = []
+    # per-seed ages; only the first seed's delivery log is traced, so only it is kept
+    ages: list[tuple[dict[int, float], float]] = []
+    first_log = None
     for seed in cfg.seeds:
         sim_cfg = SimConfig(
             graph=graph,
@@ -219,43 +221,47 @@ def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
             seed=seed,
             energy=cfg.energy,
         )
-        results.append(run_energy(sim_cfg) if cfg.energy is not None else run(sim_cfg))
+        res = run_energy(sim_cfg) if cfg.energy is not None else run(sim_cfg)
+        ages.append((res.per_node_aoi, res.network_aoi))
+        if first_log is None:
+            first_log = res.delivery_log
 
     rows = []
     for node in sorted(bound.per_node_bound):
-        mean, std = _mean_std([r.per_node_aoi[node] for r in results])
+        mean, std = _mean_std([per_node[node] for per_node, _ in ages])
         rows.append((node, mean, std, bound.per_node_bound[node], mean - bound.per_node_bound[node]))
-    net_mean, net_std = _mean_std([r.network_aoi for r in results])
+    net_mean, net_std = _mean_std([net for _, net in ages])
     rows.append(
         ("network", net_mean, net_std, bound.network_bound, net_mean - bound.network_bound)
     )
     text = _render_csv(("node", "mean_aoi", "std_aoi", "bound", "delta"), rows, _comments(cfg))
     _emit(text, out_path)
-    if out_path is not None:
-        print("seeds: " + ",".join(str(s) for s in cfg.seeds))
 
     if cfg.out_trace is not None:
-        _write_trace(cfg.out_trace, results[0].delivery_log, cfg.seeds[0])
+        _write_trace(cfg.out_trace, first_log, cfg.seeds[0])
     return 0
 
 
-def _write_trace(path: str, log, seed: int) -> None:
-    """One JSON object per delivery event, in delivery order, for the first seed."""
+def _write_trace(path: str, log: DeliveryLog, seed: int) -> None:
+    """One JSON object per delivery event, in delivery order, for the first seed.
+
+    Each line is exactly json.dumps of the event's dict (keys in column order,
+    default separators), written straight from the log's columns.
+    """
+    columns = zip(
+        log.origin.tolist(),
+        log.sensing_start.tolist(),
+        log.generated.tolist(),
+        log.delivered.tolist(),
+        log.became_freshest.tolist(),
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps({"version": __version__, "seed": seed}) + "\n")
-        for ev in log:
-            fh.write(
-                json.dumps(
-                    {
-                        "origin": ev.origin,
-                        "sensing_start": ev.sensing_start,
-                        "generated": ev.generated,
-                        "delivered": ev.delivered,
-                        "became_freshest": ev.became_freshest,
-                    }
-                )
-                + "\n"
-            )
+        fh.writelines(
+            '{"origin": %d, "sensing_start": %d, "generated": %d, "delivered": %d, '
+            '"became_freshest": %s}\n' % (o, s, g, d, "true" if f else "false")
+            for o, s, g, d, f in columns
+        )
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_path: str | None) -> int:

@@ -9,7 +9,6 @@ how often each node sees a conveyor that departs toward the base.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,55 +136,28 @@ def residual_life_mean(p: PhaseSet) -> Fraction:
     return Fraction(sum(h * h for h in gaps), 2 * p.walk_length)
 
 
-def walk_parent_map(w: EulerWalk) -> dict[int, int]:
-    """Recover each node's tree parent from the walk's own edge set."""
-    adj: dict[int, set[int]] = {}
-    for a, b in zip(w.sequence, w.sequence[1:]):
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    parent: dict[int, int] = {}
-    seen = {BASE}
-    queue = deque([BASE])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(adj.get(u, ())):
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                queue.append(v)
-    return parent
-
-
-def _baseward_index(w: EulerWalk, node: int, parent: dict[int, int]) -> int:
-    # unique walk step that crosses the node -> parent edge toward the base
-    par = parent[node]
-    for j in range(w.length):
-        if w.sequence[j] == node and w.sequence[j + 1] == par:
-            return j
-    raise ValueError(f"walk never departs baseward from node {node}")
-
-
 def baseward_departure_slots(w: EulerWalk, node: int, p: PhaseSet) -> tuple[int, ...]:
     """Per-period slot residues at which some conveyor leaves `node` toward
     the base. A conveyor with offset phi stands at walk position j at every
     slot t with (t + phi) mod L == j."""
     if node == BASE:
         raise NodeIsBase("the base has no baseward departures")
-    parent = walk_parent_map(w)
-    if node not in parent:
-        raise ValueError(f"node {node} does not appear in the walk")
-    j = _baseward_index(w, node, parent)
     L = w.length
+    # A closed tour leaves a node for the last time across its parent edge,
+    # so the baseward step starts at the node's last visit before w_L.
+    try:
+        j = L - 1 - w.sequence[L - 1 :: -1].index(node)
+    except ValueError:
+        raise ValueError(f"node {node} does not appear in the walk") from None
     return tuple(sorted((j - phi) % L for phi in p.phases))
 
 
 def coverage_audit(w: EulerWalk, p: PhaseSet) -> CoverageReport:
     """Static check that every non-base node, at every slot residue, hosts a
     conveyor that departs toward the base on the next step."""
-    parent = walk_parent_map(w)
     L = w.length
     violations: list[tuple[int, int]] = []
-    for node in sorted(parent):
+    for node in sorted(set(w.sequence) - {BASE}):
         covered = set(baseward_departure_slots(w, node, p))
         for r in range(L):
             if r not in covered:

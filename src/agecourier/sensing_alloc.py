@@ -176,9 +176,13 @@ def allocation_objective(model: SensingModel, alloc: SensingAllocation) -> float
     return sum(mu(model, i, mi) for i, mi in enumerate(alloc.m))
 
 
-def _greedy_grants(model: SensingModel, n_s: int):
-    """Yield (node, benefit) for each grant beyond the mandatory one-per-node."""
+def water_fill(model: SensingModel, n_s: int) -> SensingAllocation:
+    """Greedy water-filling: start with one robot everywhere, then hand each
+    spare robot to the node with the largest marginal benefit (ties to the
+    lowest node index). Optimal because marginal benefits never increase."""
     k = model.node_count
+    if n_s < k:
+        raise InsufficientBudget(f"need at least {k} robots, got {n_s}")
     m = [1] * k
     for _ in range(n_s - k):
         best_i = -1
@@ -193,20 +197,7 @@ def _greedy_grants(model: SensingModel, n_s: int):
         if best_i < 0:
             raise MaxMExceeded(f"all nodes already at max_m={model.max_m}")
         m[best_i] += 1
-        yield best_i, best_b, tuple(m)
-
-
-def water_fill(model: SensingModel, n_s: int) -> SensingAllocation:
-    """Greedy water-filling: start with one robot everywhere, then hand each
-    spare robot to the node with the largest marginal benefit (ties to the
-    lowest node index). Optimal because marginal benefits never increase."""
-    k = model.node_count
-    if n_s < k:
-        raise InsufficientBudget(f"need at least {k} robots, got {n_s}")
-    m = (1,) * k
-    for _, _, m in _greedy_grants(model, n_s):
-        pass
-    return SensingAllocation(m=m)
+    return SensingAllocation(m=tuple(m))
 
 
 def brute_force_alloc(model: SensingModel, n_s: int) -> SensingAllocation:

@@ -73,35 +73,12 @@ class EnergyParams:
             raise ConfigInvalid(f"r_chg must be > 0, got {self.r_chg}")
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One sensed data item; age is measured from sensing_start, not from
-    the completion slot."""
-
-    origin: int
-    sensing_start: int
-    generated: int
-
-    def __post_init__(self):
-        if self.generated < self.sensing_start:
-            raise ValueError("generated must be >= sensing_start")
-
-
-@dataclass(frozen=True)
-class DeliveryEvent:
-    origin: int
-    sensing_start: int
-    generated: int
-    delivered: int
-    became_freshest: bool
-
-
 class DeliveryLog:
-    """Columnar sequence of DeliveryEvent records.
+    """Base deliveries in slot order, origins ascending within a slot.
 
     Runs at desk scale produce hundreds of thousands of events, so the log
-    keeps five parallel arrays instead of per-event objects. Iteration and
-    indexing still yield DeliveryEvent instances.
+    is five parallel arrays: origin, sensing_start, generated, delivered and
+    became_freshest, one entry per event.
     """
 
     __slots__ = ("origin", "sensing_start", "generated", "delivered", "became_freshest")
@@ -113,32 +90,8 @@ class DeliveryLog:
         self.delivered = np.asarray(delivered, dtype=np.int64)
         self.became_freshest = np.asarray(became_freshest, dtype=bool)
 
-    @classmethod
-    def from_events(cls, events) -> "DeliveryLog":
-        events = list(events)
-        return cls(
-            [e.origin for e in events],
-            [e.sensing_start for e in events],
-            [e.generated for e in events],
-            [e.delivered for e in events],
-            [e.became_freshest for e in events],
-        )
-
     def __len__(self) -> int:
         return int(self.origin.size)
-
-    def __getitem__(self, idx: int) -> DeliveryEvent:
-        return DeliveryEvent(
-            origin=int(self.origin[idx]),
-            sensing_start=int(self.sensing_start[idx]),
-            generated=int(self.generated[idx]),
-            delivered=int(self.delivered[idx]),
-            became_freshest=bool(self.became_freshest[idx]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeliveryLog):
@@ -221,17 +174,6 @@ def node_stream(seed: int, node: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, node])))
 
 
-def draw_sensing_time(q: float, rng) -> int:
-    """Sample one sensing duration: one success-q trial per slot until the
-    first success. rng needs only a .random() method."""
-    if not 0.0 < q <= 1.0:
-        raise InvalidProbability(f"q must be in (0, 1], got {q}")
-    k = 1
-    while rng.random() >= q:
-        k += 1
-    return k
-
-
 def generation_mask(seed: int, node: int, q: float, horizon: int) -> np.ndarray:
     """Per-slot success indicators for one node over the whole run.
 
@@ -243,16 +185,16 @@ def generation_mask(seed: int, node: int, q: float, horizon: int) -> np.ndarray:
     return node_stream(seed, node).random(horizon) < q
 
 
-def run(cfg: SimConfig, engine: str = "auto") -> SimResult:
+def run(cfg: SimConfig, engine: str = "table") -> SimResult:
     """Simulate an unconstrained run; identical configs give identical results.
 
-    engine: "auto" (default, fast periodic-schedule path), "table", or
-    "stepper" (the literal per-slot reference loop).
+    engine: "table" (default, fast periodic-schedule path) or "stepper" (the
+    literal per-slot reference loop).
     """
     cfg.validate()
     if cfg.energy is not None:
         raise ConfigInvalid("config carries energy parameters; use run_energy")
-    if engine == "auto" or engine == "table":
+    if engine == "table":
         L = cfg.walk.length
         delay = _transport_delay_table(cfg.walk.sequence, cfg.phase_set.phases)
         return _replay(cfg, lambda node, gens: gens + delay[node][gens % L])
@@ -637,7 +579,9 @@ def _replay(cfg: SimConfig, deliver, energy_trace=None) -> SimResult:
 # event-log reconstruction
 # ---------------------------------------------------------------------------
 
-def aoi_from_event_log(log, horizon: int, warmup: int = 0, origins=None) -> dict[int, float]:
+def aoi_from_event_log(
+    log: DeliveryLog, horizon: int, warmup: int = 0, origins=None
+) -> dict[int, float]:
     """Rebuild per-node average ages from freshest delivery events alone.
 
     Between consecutive freshest deliveries the age is a straight ramp, so the
@@ -651,18 +595,8 @@ def aoi_from_event_log(log, horizon: int, warmup: int = 0, origins=None) -> dict
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"need 0 <= warmup < horizon, got {warmup}, {horizon}")
-    if isinstance(log, DeliveryLog):
-        org = log.origin
-        dlv = log.delivered
-        srt = log.sensing_start
-        fresh = log.became_freshest
-    else:
-        events = list(log)
-        org = np.asarray([e.origin for e in events], dtype=np.int64)
-        dlv = np.asarray([e.delivered for e in events], dtype=np.int64)
-        srt = np.asarray([e.sensing_start for e in events], dtype=np.int64)
-        fresh = np.asarray([e.became_freshest for e in events], dtype=bool)
-    org, dlv, srt = org[fresh], dlv[fresh], srt[fresh]
+    fresh = log.became_freshest
+    org, dlv, srt = log.origin[fresh], log.delivered[fresh], log.sensing_start[fresh]
     if origins is None:
         origins = sorted(int(v) for v in np.unique(org))
 

@@ -153,7 +153,7 @@ def _verify_invariants(cfg: ac.SimConfig, res: ac.SimResult) -> None:
             CHECK_STATS["full_coverage_equality_events"] += len(log)
 
 
-def checked_run(cfg: ac.SimConfig, engine: str = "auto") -> ac.SimResult:
+def checked_run(cfg: ac.SimConfig, engine: str = "table") -> ac.SimResult:
     res = ac.run(cfg, engine=engine)
     _verify_invariants(cfg, res)
     return res

@@ -7,9 +7,9 @@ import sys
 import pytest
 
 import agecourier as ac
-from agecourier.cli import main
+from agecourier.cli import _write_trace, main
 
-from _support import REF_WATERFILL_10
+from _support import REF_WATERFILL_10, checked_run, ref_config
 
 BASE_CONFIG = """\
 [graph]
@@ -189,8 +189,9 @@ def test_cli_simulate_and_trace(tmp_path, capsys):
     out_csv = tmp_path / "sim.csv"
     code, out, _ = run_cli(capsys, "simulate", "--config", path, "--out", str(out_csv))
     assert code == 0
-    assert "seeds: 1,2" in out
+    assert out == ""
     table = out_csv.read_text()
+    assert "# seeds: 1,2\n" in table
     lines = [l for l in table.splitlines() if l and not l.startswith("#")]
     assert lines[0] == "node,mean_aoi,std_aoi,bound,delta"
     assert lines[-1].startswith("network,")
@@ -202,6 +203,25 @@ def test_cli_simulate_and_trace(tmp_path, capsys):
     for rec in records[1:]:
         assert set(rec) == {"origin", "sensing_start", "generated", "delivered", "became_freshest"}
         assert rec["delivered"] >= rec["generated"] >= rec["sensing_start"]
+
+
+def test_trace_lines_are_json_dumps_of_each_event(tmp_path):
+    log = checked_run(ref_config(horizon=300, warmup=10, seed=8)).delivery_log
+    fresh = log.became_freshest.copy()
+    fresh[1] = False
+    log = ac.DeliveryLog(log.origin, log.sensing_start, log.generated, log.delivered, fresh)
+    trace = tmp_path / "trace.ndjson"
+    _write_trace(str(trace), log, 8)
+    lines = trace.read_text(encoding="utf-8").split("\n")
+    assert lines[0] == json.dumps({"version": ac.__version__, "seed": 8})
+    assert lines[-1] == ""
+    names = ("origin", "sensing_start", "generated", "delivered", "became_freshest")
+    events = [
+        dict(zip(names, (int(o), int(s), int(g), int(d), bool(f))))
+        for o, s, g, d, f in zip(*(getattr(log, name) for name in names))
+    ]
+    assert len(events) > 2 and not events[1]["became_freshest"]
+    assert lines[1:-1] == [json.dumps(ev) for ev in events]
 
 
 def test_cli_seed_override_and_byte_identical_reruns(tmp_path, capsys):

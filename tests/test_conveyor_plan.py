@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 import agecourier as ac
-from agecourier.conveyor_plan import (
-    BudgetOutOfRange,
-    NodeIsBase,
-    walk_parent_map,
-)
+from agecourier.conveyor_plan import BudgetOutOfRange, NodeIsBase
 
 from _support import REF_L, REF_WALK, random_tree_graph, ref_tree, ref_walk
 
@@ -36,7 +32,10 @@ def test_walk_traverses_each_tree_edge_twice():
         assert len(steps) == len(directed), "no step repeats"
         for child, parent in tree.parent.items():
             assert (parent, child) in directed and (child, parent) in directed
-        assert walk_parent_map(walk) == tree.parent
+        one = ac.PhaseSet((0,), walk.length)
+        for node, parent in tree.parent.items():
+            (j,) = ac.baseward_departure_slots(walk, node, one)
+            assert walk.sequence[j + 1] == parent
 
 
 def test_walk_validation():
