@@ -67,6 +67,8 @@ from .analysis import (
     split_sweep,
     phase_comparison,
     pickup_wait_mean,
+    seed_runs,
+    mean_std,
 )
 from .config import (
     ExperimentConfig,

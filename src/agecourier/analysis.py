@@ -11,20 +11,18 @@ sensing and conveying to locate the best division of labor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
 from .conveyor_plan import (
-    EulerWalk,
-    PhaseSet,
     baseward_departure_slots,
     clustered_phases,
-    euler_walk,
     random_phases,
     uniform_phases,
 )
-from .graph_core import DistanceMap, Graph, bfs_distances, shortest_path_tree
+from .graph_core import DistanceMap, Graph, bfs_distances
 from .sensing_alloc import (
     SensingAllocation,
     SensingModel,
@@ -32,7 +30,7 @@ from .sensing_alloc import (
     mu,
     water_fill,
 )
-from .sim_engine import SimConfig, SimResult, generation_mask, run
+from .sim_engine import SimConfig, SimResult, generation_mask, run, run_energy
 
 
 class DimensionMismatch(ValueError):
@@ -106,7 +104,8 @@ def transport_penalty(result: SimResult, bound: BoundReport) -> PenaltyReport:
     return PenaltyReport(per_node_delta=delta, delta_avg=sum(delta.values()) / len(delta))
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
+def mean_std(values: list[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation (0 for a single value)."""
     n = len(values)
     mean = sum(values) / n
     if n < 2:
@@ -115,32 +114,16 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def _simulate_networks(
-    graph: Graph,
-    walk: EulerWalk,
-    phases: PhaseSet,
-    model: SensingModel,
-    alloc: SensingAllocation,
-    horizon: int,
-    warmup: int,
-    seeds,
-) -> list[float]:
-    tree = shortest_path_tree(graph)
-    out = []
+def seed_runs(cfg: SimConfig, seeds):
+    """Lazily yield `cfg`'s result per seed: `run_energy` when it has energy, else `run`."""
     for seed in seeds:
-        cfg = SimConfig(
-            graph=graph,
-            tree=tree,
-            walk=walk,
-            phase_set=phases,
-            model=model,
-            alloc=alloc,
-            horizon=horizon,
-            warmup=warmup,
-            seed=seed,
-        )
-        out.append(run(cfg).network_aoi)
-    return out
+        c = replace(cfg, seed=seed)
+        yield run_energy(c) if c.energy is not None else run(c)
+
+
+def _network_mean_std(cfg: SimConfig, seeds) -> tuple[float, float]:
+    # map drops each result before the next run; a comprehension would hold one more log
+    return mean_std(list(map(attrgetter("network_aoi"), seed_runs(cfg, seeds))))
 
 
 def split_sweep(
@@ -163,28 +146,35 @@ def split_sweep(
     k = graph.node_count - 1
     if total < k + 1:
         raise BudgetTooSmall(f"total {total} cannot cover {k} sensors plus one conveyor")
-    tree = shortest_path_tree(graph)
-    walk = euler_walk(tree)
+    L = 2 * k  # the closed walk crosses each of the k tree edges twice
     dist = bfs_distances(graph)
     model = make_model(alphas, max_m=total)
     seeds = list(seeds)
+    # every cell replaces the allocation and the phase set
+    scenario = SimConfig(
+        graph=graph,
+        phase_set=uniform_phases(L, 1),
+        model=model,
+        alloc=SensingAllocation((1,) * k),
+        horizon=horizon,
+        warmup=warmup,
+        seed=0,
+    )
 
     cells: list[SweepCell] = []
     best: SweepCell | None = None
     for n_s in range(k, total):
         n_c = total - n_s
-        n_c_eff = min(n_c, walk.length)
-        alloc = water_fill(model, n_s)
-        phases = uniform_phases(walk.length, n_c_eff)
-        nets = _simulate_networks(graph, walk, phases, model, alloc, horizon, warmup, seeds)
-        mean, std = _mean_std(nets)
+        n_c_eff = min(n_c, L)
+        cfg = replace(scenario, alloc=water_fill(model, n_s), phase_set=uniform_phases(L, n_c_eff))
+        mean, std = _network_mean_std(cfg, seeds)
         cell = SweepCell(
             n_s=n_s,
             n_c=n_c,
             n_c_effective=n_c_eff,
             mean_aoi=mean,
             std_aoi=std,
-            bound=lower_bound(model, alloc, dist).network_bound,
+            bound=lower_bound(model, cfg.alloc, dist).network_bound,
             seeds=len(seeds),
         )
         cells.append(cell)
@@ -212,24 +202,30 @@ def phase_comparison(
     carries the analytic floor for reference.
     """
     k = graph.node_count - 1
-    tree = shortest_path_tree(graph)
-    walk = euler_walk(tree)
+    L = 2 * k  # the closed walk crosses each of the k tree edges twice
     dist = bfs_distances(graph)
     model = make_model(alphas, max_m=max(n_s, k) + 1)
     alloc = water_fill(model, n_s)
     seeds = list(seeds)
+    # every schedule replaces the phase set
+    scenario = SimConfig(
+        graph=graph,
+        phase_set=uniform_phases(L, 1),
+        model=model,
+        alloc=alloc,
+        horizon=horizon,
+        warmup=warmup,
+        seed=0,
+    )
 
     rows: list[PhaseRow] = []
     for n_c in n_c_values:
-        schedules = [("uniform", uniform_phases(walk.length, n_c))]
-        schedules.append(("clustered", clustered_phases(n_c, walk.length)))
+        schedules = [("uniform", uniform_phases(L, n_c))]
+        schedules.append(("clustered", clustered_phases(n_c, L)))
         for j in range(random_draws):
-            schedules.append((f"random{j}", random_phases(n_c, walk.length, phase_seed + j)))
+            schedules.append((f"random{j}", random_phases(n_c, L, phase_seed + j)))
         for name, phases in schedules:
-            nets = _simulate_networks(
-                graph, walk, phases, model, alloc, horizon, warmup, seeds
-            )
-            mean, std = _mean_std(nets)
+            mean, std = _network_mean_std(replace(scenario, phase_set=phases), seeds)
             rows.append(PhaseRow(strategy=name, n_c=n_c, mean_aoi=mean, std_aoi=std))
     rows.append(
         PhaseRow(
@@ -242,26 +238,19 @@ def phase_comparison(
     return rows
 
 
-def pickup_wait_mean(
-    walk: EulerWalk,
-    phases: PhaseSet,
-    model: SensingModel,
-    alloc: SensingAllocation,
-    horizon: int,
-    seed: int,
-) -> float:
+def pickup_wait_mean(cfg: SimConfig) -> float:
     """Average wait from each simulated sensing completion to the next slot a
     conveyor departs its node toward the base (0 when one departs the same
-    slot). Uses the same per-node generation streams as the simulator."""
-    L = walk.length
-    total = 0
-    count = 0
-    for i in range(model.node_count):
+    slot), over cfg.horizon slots of seed cfg.seed. Uses the same per-node
+    generation streams as the simulator."""
+    L = cfg.walk.length
+    total = count = 0
+    for i in range(cfg.model.node_count):
         node = i + 1
-        deps = baseward_departure_slots(walk, node, phases)
+        deps = baseward_departure_slots(cfg.walk, node, cfg.phase_set)
         wait_by_residue = [min((tau - r) % L for tau in deps) for r in range(L)]
-        q = model.q_table[i][alloc.m[i] - 1]
-        gens = np.flatnonzero(generation_mask(seed, node, q, horizon))
+        q = cfg.model.q_table[i][cfg.alloc.m[i] - 1]
+        gens = np.flatnonzero(generation_mask(cfg.seed, node, q, cfg.horizon))
         if gens.size:
             waits = np.asarray(wait_by_residue, dtype=np.int64)[gens % L]
             total += int(waits.sum())

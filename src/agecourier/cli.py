@@ -1,7 +1,8 @@
 """Command-line front-end: parse an experiment config, dispatch a subcommand,
 emit CSV tables and optional delivery traces.
 
-Subcommands: bound | waterfill | walk | phases | audit | simulate | sweep.
+Subcommands: bound | waterfill | walk | phases | audit | simulate | sweep;
+sweep and phases run unconstrained conveyors and reject an [energy] section.
 Global flags: --config FILE (required), --seed N (replaces the config's seed
 list with the single seed N), --out FILE (write the CSV there instead of
 stdout; [output] csv when absent), --echo-config (print the config and exit).
@@ -23,10 +24,9 @@ import json
 import sys
 
 from . import __version__
-from .analysis import _mean_std, lower_bound, phase_comparison, split_sweep
+from .analysis import lower_bound, mean_std, phase_comparison, seed_runs, split_sweep
 from .config import ConfigError, ExperimentConfig, load_config, render_config
 from .conveyor_plan import (
-    EulerWalk,
     PhaseSet,
     clustered_phases,
     coverage_audit,
@@ -45,7 +45,7 @@ from .sensing_alloc import (
     uniform_alloc,
     water_fill,
 )
-from .sim_engine import DeliveryLog, SimConfig, run, run_energy
+from .sim_engine import DeliveryLog, SimConfig
 
 
 # ---------------------------------------------------------------------------
@@ -71,26 +71,19 @@ def _build_model(cfg: ExperimentConfig) -> SensingModel:
 
 def _build_alloc(cfg: ExperimentConfig, model: SensingModel) -> SensingAllocation:
     if cfg.allocation == "explicit":
-        alloc = SensingAllocation(m=tuple(cfg.m))
-        if len(alloc.m) != model.node_count:
-            raise ConfigError(
-                f"[sensing] m: got {len(alloc.m)} entries for "
-                f"{model.node_count} non-base nodes"
-            )
-        if cfg.n_s is not None and alloc.total != cfg.n_s:
-            raise ConfigError(f"[sensing] n_s: {cfg.n_s} but m sums to {alloc.total}")
-        return alloc
+        return SensingAllocation(m=cfg.m)
     if cfg.allocation == "uniform":
         return uniform_alloc(model, cfg.n_s)
     return water_fill(model, cfg.n_s)
 
 
-def _build_phases(cfg: ExperimentConfig, walk: EulerWalk) -> PhaseSet:
+def _build_phases(cfg: ExperimentConfig) -> PhaseSet:
+    L = 2 * (cfg.node_count - 1)  # the closed walk crosses each tree edge twice
     if cfg.phase_strategy == "clustered":
-        return clustered_phases(cfg.n_c, walk.length)
+        return clustered_phases(cfg.n_c, L)
     if cfg.phase_strategy == "random":
-        return random_phases(cfg.n_c, walk.length, cfg.phase_seed)
-    return uniform_phases(walk.length, cfg.n_c)
+        return random_phases(cfg.n_c, L, cfg.phase_seed)
+    return uniform_phases(L, cfg.n_c)
 
 
 def _sensing_budget(cfg: ExperimentConfig) -> int:
@@ -187,7 +180,7 @@ def cmd_walk(cfg: ExperimentConfig, out_path: str | None) -> int:
 
 def cmd_audit(cfg: ExperimentConfig, out_path: str | None) -> int:
     walk = euler_walk(shortest_path_tree(_build_graph(cfg)))
-    report = coverage_audit(walk, _build_phases(cfg, walk))
+    report = coverage_audit(walk, _build_phases(cfg))
     lines = [f"full coverage: {'true' if report.full_coverage else 'false'}"]
     for node, slot in report.violations:
         lines.append(f"violation: node={node} slot={slot}")
@@ -198,39 +191,35 @@ def cmd_audit(cfg: ExperimentConfig, out_path: str | None) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
     graph = _build_graph(cfg)
-    tree = shortest_path_tree(graph)
-    walk = euler_walk(tree)
-    phases = _build_phases(cfg, walk)
+    phases = _build_phases(cfg)
     model = _build_model(cfg)
     alloc = _build_alloc(cfg, model)
     bound = lower_bound(model, alloc, bfs_distances(graph))
+    scenario = SimConfig(
+        graph=graph,
+        phase_set=phases,
+        model=model,
+        alloc=alloc,
+        horizon=cfg.horizon,
+        warmup=cfg.warmup,
+        seed=cfg.seeds[0],
+        energy=cfg.energy,
+    )
 
     # per-seed ages; only the first seed's delivery log is traced, so only it is kept
     ages: list[tuple[dict[int, float], float]] = []
     first_log = None
-    for seed in cfg.seeds:
-        sim_cfg = SimConfig(
-            graph=graph,
-            tree=tree,
-            walk=walk,
-            phase_set=phases,
-            model=model,
-            alloc=alloc,
-            horizon=cfg.horizon,
-            warmup=cfg.warmup,
-            seed=seed,
-            energy=cfg.energy,
-        )
-        res = run_energy(sim_cfg) if cfg.energy is not None else run(sim_cfg)
+    for res in seed_runs(scenario, cfg.seeds):
         ages.append((res.per_node_aoi, res.network_aoi))
         if first_log is None:
             first_log = res.delivery_log
+        del res  # release this seed's log before the next seed runs
 
     rows = []
     for node in sorted(bound.per_node_bound):
-        mean, std = _mean_std([per_node[node] for per_node, _ in ages])
+        mean, std = mean_std([per_node[node] for per_node, _ in ages])
         rows.append((node, mean, std, bound.per_node_bound[node], mean - bound.per_node_bound[node]))
-    net_mean, net_std = _mean_std([net for _, net in ages])
+    net_mean, net_std = mean_std([net for _, net in ages])
     rows.append(
         ("network", net_mean, net_std, bound.network_bound, net_mean - bound.network_bound)
     )
@@ -265,6 +254,8 @@ def _write_trace(path: str, log: DeliveryLog, seed: int) -> None:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_path: str | None) -> int:
+    if cfg.energy is not None:
+        raise ConfigError("[energy]: sweep runs unconstrained conveyors only")
     if cfg.sweep_total is None:
         raise ConfigError("[sweep] total: missing required field")
     cells, best = split_sweep(
@@ -286,6 +277,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_path: str | None) -> int:
 
 
 def cmd_phases(cfg: ExperimentConfig, out_path: str | None) -> int:
+    if cfg.energy is not None:
+        raise ConfigError("[energy]: phases runs unconstrained conveyors only")
     n_c_values = cfg.phases_n_c_values
     if n_c_values is None:
         n_c_values = (cfg.n_c,)

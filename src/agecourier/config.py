@@ -1,8 +1,9 @@
 """Experiment configuration: a flat INI file with named sections.
 
-Parsing is strict: unknown sections or keys, missing required fields, and
-malformed values all fail with a message naming the offending field. A config
-rendered by `render_config` parses back to an identical ExperimentConfig.
+Parsing is strict: unknown sections or keys, missing required fields,
+malformed values, and fields that disagree with each other all fail with a
+message naming the offending field. A config rendered by `render_config`
+parses back to an identical ExperimentConfig.
 """
 
 from __future__ import annotations
@@ -130,6 +131,14 @@ def parse_config(text: str) -> ExperimentConfig:
     n_s = _get(cp, "sensing", "n_s", _int, required=allocation != "explicit")
     m = _get(cp, "sensing", "m", _int_list, required=allocation == "explicit")
     max_m = _get(cp, "sensing", "max_m", _int, required=False)
+    k = node_count - 1
+    if len(alphas) != k:
+        _fail("sensing", "alphas", f"got {len(alphas)} values for {k} non-base nodes")
+    if allocation == "explicit":
+        if len(m) != k:
+            _fail("sensing", "m", f"got {len(m)} entries for {k} non-base nodes")
+        if n_s is not None and sum(m) != n_s:
+            _fail("sensing", "n_s", f"{n_s} but m sums to {sum(m)}")
 
     phase_strategy = _get(cp, "conveyors", "phases", str)
     if phase_strategy not in PHASE_STRATEGIES:

@@ -73,15 +73,17 @@ def euler_walk(tree: ShortestPathTree) -> EulerWalk:
         children.setdefault(par, []).append(node)
     for kids in children.values():
         kids.sort()
-    seq = [BASE]
-
-    def descend(v: int) -> None:
-        for child in children.get(v, ()):
-            seq.append(child)
-            descend(child)
-            seq.append(v)
-
-    descend(BASE)
+    seq = []
+    # the walk stands at the top of a (node, unvisited children) stack: no recursion limit
+    stack = [(BASE, iter(children.get(BASE, ())))]
+    while stack:
+        v, kids = stack[-1]
+        seq.append(v)
+        child = next(kids, None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append((child, iter(children.get(child, ()))))
     return EulerWalk(sequence=tuple(seq), length=len(seq) - 1)
 
 

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count, islice
 
 import numpy as np
 
-from .conveyor_plan import EulerWalk, PhaseSet
-from .graph_core import BASE, Graph, ShortestPathTree
+from .conveyor_plan import EulerWalk, PhaseSet, euler_walk
+from .graph_core import BASE, Graph, ShortestPathTree, shortest_path_tree
 from .sensing_alloc import SensingAllocation, SensingModel, success_probability
 
 _FOLLOW, _RETURN, _CHARGE, _HOLD = 0, 1, 2, 3
@@ -129,11 +129,10 @@ class SimResult:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything a run needs; all pieces must describe the same instance."""
+    """One simulation scenario; its tree and walk are derived from the graph.
+    Per-seed and per-cell variants are `dataclasses.replace` copies."""
 
     graph: Graph
-    tree: ShortestPathTree
-    walk: EulerWalk
     phase_set: PhaseSet
     model: SensingModel
     alloc: SensingAllocation
@@ -141,6 +140,16 @@ class SimConfig:
     warmup: int
     seed: int
     energy: EnergyParams | None = None
+
+    @cached_property
+    def tree(self) -> ShortestPathTree:
+        """Shortest-path tree of the graph, the conveyors' road network."""
+        return shortest_path_tree(self.graph)
+
+    @cached_property
+    def walk(self) -> EulerWalk:
+        """Closed Euler walk over the tree that every conveyor follows."""
+        return euler_walk(self.tree)
 
     def validate(self) -> None:
         k = self.graph.node_count - 1
@@ -152,10 +161,6 @@ class SimConfig:
             raise ConfigInvalid(f"horizon must be < 2**31, got {self.horizon}")
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
-        if self.walk.length != 2 * k:
-            raise ConfigInvalid(
-                f"walk length {self.walk.length} does not match {k} non-base nodes"
-            )
         if self.phase_set.walk_length != self.walk.length:
             raise ConfigInvalid("phase set was built for a different walk length")
         if len(self.alloc.m) != k:
@@ -164,8 +169,6 @@ class SimConfig:
             raise ConfigInvalid(f"model covers {self.model.node_count} nodes, graph has {k}")
         if max(self.alloc.m) > self.model.max_m:
             raise ConfigInvalid("allocation exceeds the model's max_m")
-        if len(self.tree.depth) != self.graph.node_count:
-            raise ConfigInvalid("tree and graph disagree on node count")
 
 
 def node_stream(seed: int, node: int) -> np.random.Generator:
@@ -597,15 +600,17 @@ def aoi_from_event_log(
         raise ValueError(f"need 0 <= warmup < horizon, got {warmup}, {horizon}")
     fresh = log.became_freshest
     org, dlv, srt = log.origin[fresh], log.delivered[fresh], log.sensing_start[fresh]
+    order = np.argsort(org, kind="stable")  # group by origin, log order within
+    org, dlv, srt = org[order], dlv[order], srt[order]
     if origins is None:
-        origins = sorted(int(v) for v in np.unique(org))
+        origins = np.unique(org).tolist()
 
     n_slots = horizon - warmup
     out: dict[int, float] = {}
     for node in origins:
-        sel = org == node
-        d = dlv[sel]
-        s = srt[sel]
+        lo, hi = np.searchsorted(org, (node, node + 1))
+        d = dlv[lo:hi]
+        s = srt[lo:hi]
         if d.size and np.any(d[1:] <= d[:-1]):
             raise UnsortedLog(f"events for origin {node} are not time-ordered")
         total = 0

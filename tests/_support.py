@@ -83,15 +83,10 @@ def ref_config(
     energy: ac.EnergyParams | None = None,
     phases: ac.PhaseSet | None = None,
 ) -> ac.SimConfig:
-    g = ref_graph()
-    tree = ac.shortest_path_tree(g)
-    walk = ac.euler_walk(tree)
     if phases is None:
-        phases = ac.uniform_phases(walk.length, n_c)
+        phases = ac.uniform_phases(REF_L, n_c)
     return ac.SimConfig(
-        graph=g,
-        tree=tree,
-        walk=walk,
+        graph=ref_graph(),
         phase_set=phases,
         model=ref_model(max_m),
         alloc=ac.SensingAllocation(m=m or (1,) * 7),
@@ -105,14 +100,9 @@ def ref_config(
 def trend_config(
     *, b_max: float, seed: int, horizon: int = 15000, warmup: int = 1000
 ) -> ac.SimConfig:
-    g = ac.build_graph(TREND_NODE_COUNT, TREND_EDGES)
-    tree = ac.shortest_path_tree(g)
-    walk = ac.euler_walk(tree)
     return ac.SimConfig(
-        graph=g,
-        tree=tree,
-        walk=walk,
-        phase_set=ac.uniform_phases(walk.length, 14),
+        graph=ac.build_graph(TREND_NODE_COUNT, TREND_EDGES),
+        phase_set=ac.uniform_phases(2 * (TREND_NODE_COUNT - 1), 14),
         model=ac.make_model(TREND_ALPHAS, max_m=2),
         alloc=ac.SensingAllocation(m=(1,) * 9),
         horizon=horizon,

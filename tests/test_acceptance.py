@@ -9,6 +9,7 @@ after its assertions hold; the lines are echoed again in the terminal summary.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
@@ -51,15 +52,10 @@ def _custom_config(
     phases=None,
 ):
     """Reference tree with a custom workload vector and sensing allocation."""
-    g = ref_graph()
-    tree = ac.shortest_path_tree(g)
-    walk = ac.euler_walk(tree)
     if phases is None:
-        phases = ac.uniform_phases(walk.length, n_c)
+        phases = ac.uniform_phases(REF_L, n_c)
     return ac.SimConfig(
-        graph=g,
-        tree=tree,
-        walk=walk,
+        graph=ref_graph(),
         phase_set=phases,
         model=ac.make_model(alphas, max_m if max_m is not None else max(m) + 1),
         alloc=ac.SensingAllocation(m=tuple(m)),
@@ -275,17 +271,11 @@ def test_criterion_7_transport_floor():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_pickup_wait_band():
-    walk = ref_walk()
-    model = ref_model()
-    alloc = ac.SensingAllocation(m=(1,) * 7)
     summary = []
     for n_c in (2, 4, 7):
-        phases = ac.uniform_phases(REF_L, n_c)
-        ideal = float(ac.residual_life_mean(phases))
-        waits = [
-            ac.pickup_wait_mean(walk, phases, model, alloc, horizon=20000, seed=s)
-            for s in range(10)
-        ]
+        cfg = ref_config(n_c=n_c, horizon=20000)
+        ideal = float(ac.residual_life_mean(cfg.phase_set))
+        waits = [ac.pickup_wait_mean(dataclasses.replace(cfg, seed=s)) for s in range(10)]
         mean = float(np.mean(waits))
         sigma = float(np.std(waits, ddof=1)) / math.sqrt(len(waits))
         assert ideal - 0.5 - 3 * sigma <= mean <= ideal + 3 * sigma

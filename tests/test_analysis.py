@@ -1,5 +1,6 @@
 """Analytic floors, penalties, budget sweeps, and phase comparisons."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 import agecourier as ac
 from agecourier.analysis import BudgetTooSmall, DimensionMismatch
+from agecourier.sim_engine import ConfigInvalid
 
 from _support import (
     REF_ALPHAS,
@@ -18,7 +20,6 @@ from _support import (
     ref_config,
     ref_graph,
     ref_model,
-    ref_walk,
 )
 
 
@@ -66,6 +67,25 @@ def test_transport_penalty_arithmetic():
     assert pen.delta_avg == pytest.approx(sum(pen.per_node_delta.values()) / 7)
     with pytest.raises(DimensionMismatch):
         ac.transport_penalty(res, ac.BoundReport(per_node_bound={1: 3.0}, network_bound=3.0))
+
+
+def test_seed_runs_is_lazy_and_dispatches_on_energy():
+    cfg = ref_config(n_c=5, horizon=600, warmup=50)
+    runs = ac.seed_runs(cfg, [3, -1])
+    first = next(runs)  # the invalid second seed has not run yet
+    assert first.per_node_aoi == checked_run(dataclasses.replace(cfg, seed=3)).per_node_aoi
+    assert first.energy_trace is None
+    with pytest.raises(ConfigInvalid, match="seed"):
+        next(runs)
+    energized = dataclasses.replace(cfg, energy=ac.EnergyParams(b_max=12.0, e_move=2.0, r_chg=2.0))
+    (res,) = ac.seed_runs(energized, [3])
+    assert res.energy_trace is not None
+    assert res.network_aoi == ac.run_energy(dataclasses.replace(energized, seed=3)).network_aoi
+
+
+def test_mean_std():
+    assert ac.mean_std([2.0]) == (2.0, 0.0)
+    assert ac.mean_std([1.0, 3.0]) == (2.0, math.sqrt(2.0))
 
 
 def test_split_sweep_budget_guard():
@@ -128,17 +148,11 @@ def test_pickup_wait_matches_exact_residual_computation():
     # single conveyor: the wait from a completion at residue r to the next
     # baseward departure is deterministic, so the simulated mean must sit
     # near the per-residue average weighted by the generation process
-    walk = ref_walk()
-    phases = ac.uniform_phases(14, 7)
-    model = ref_model()
-    alloc = ac.SensingAllocation((1,) * 7)
-    waits = [
-        ac.pickup_wait_mean(walk, phases, model, alloc, horizon=60_000, seed=s)
-        for s in range(5)
-    ]
+    cfg = ref_config(n_c=7, horizon=60_000)
+    waits = [ac.pickup_wait_mean(dataclasses.replace(cfg, seed=s)) for s in range(5)]
     mean = sum(waits) / len(waits)
     # discrete waits 0..h-1 per gap average to sum(h^2)/(2L) - 1/2 = 0.5
-    expect = float(ac.residual_life_mean(phases)) - 0.5
+    expect = float(ac.residual_life_mean(cfg.phase_set)) - 0.5
     assert abs(mean - expect) < 0.02
 
 

@@ -5,9 +5,12 @@ import runpy
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agecourier as ac
 from agecourier.cli import _write_trace, main
+from agecourier.config import ALLOCATION_STRATEGIES, PHASE_STRATEGIES
 
 from _support import REF_WATERFILL_10, checked_run, ref_config
 
@@ -75,6 +78,58 @@ def test_render_parse_round_trip():
     assert ac.parse_config(ac.render_config(cfg2)) == cfg2
 
 
+_paths = st.from_regex(r"[A-Za-z0-9_./-]{1,16}", fullmatch=True)
+_pos_floats = st.floats(0.25, 50.0)
+
+
+@st.composite
+def _experiment_configs(draw):
+    n = draw(st.integers(2, 9))
+    k = n - 1
+    allocation = draw(st.sampled_from(ALLOCATION_STRATEGIES))
+    m = n_s = None
+    if allocation == "explicit":
+        m = tuple(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+        n_s = draw(st.sampled_from([None, sum(m)]))
+    else:
+        n_s = draw(st.integers(k, 4 * k))
+    phase_strategy = draw(st.sampled_from(PHASE_STRATEGIES))
+    horizon = draw(st.integers(2, 10**6))
+    energy = None
+    if draw(st.booleans()):
+        energy = ac.EnergyParams(
+            b_max=draw(_pos_floats), e_move=draw(st.floats(0.0, 5.0)), r_chg=draw(_pos_floats)
+        )
+    n_c_values = draw(st.none() | st.lists(st.integers(1, 2 * k), min_size=1, max_size=4))
+    return ac.ExperimentConfig(
+        node_count=n,
+        edges=tuple((draw(st.integers(0, i - 1)), i) for i in range(1, n)),
+        alphas=tuple(draw(st.lists(_pos_floats, min_size=k, max_size=k))),
+        allocation=allocation,
+        n_s=n_s,
+        m=m,
+        max_m=draw(st.none() | st.integers(1, 20)),
+        phase_strategy=phase_strategy,
+        n_c=draw(st.integers(1, 2 * k)),
+        phase_seed=draw(st.integers(0, 2**20)),
+        horizon=horizon,
+        warmup=draw(st.integers(0, horizon - 1)),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**20), min_size=1, max_size=4))),
+        energy=energy,
+        sweep_total=draw(st.none() | st.integers(n, 4 * n)),
+        phases_n_c_values=None if n_c_values is None else tuple(n_c_values),
+        phases_random_draws=5 if n_c_values is None else draw(st.integers(0, 6)),
+        out_csv=draw(st.none() | _paths),
+        out_trace=draw(st.none() | _paths),
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_experiment_configs())
+def test_render_parse_round_trip_property(cfg):
+    assert ac.parse_config(ac.render_config(cfg)) == cfg
+
+
 def test_unknown_fields_are_named():
     with pytest.raises(ac.ConfigError, match=r"unknown section \[transport\]"):
         ac.parse_config(BASE_CONFIG + "\n[transport]\nspeed = 2\n")
@@ -118,6 +173,24 @@ def test_bad_values_are_rejected():
         ac.parse_config(BASE_CONFIG.replace("edges = 0-1,", "edges = 0:1,"))
     with pytest.raises(ac.ConfigError):
         ac.parse_config("not an ini file at all [")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("alphas = 4, 6, 3, 9, 6, 8, 7", "alphas = 4, 6, 3",
+         r"\[sensing\] alphas: got 3 values for 7 non-base nodes"),
+        ("allocation = waterfill\nn_s = 10", "allocation = explicit\nm = 1, 1, 2",
+         r"\[sensing\] m: got 3 entries for 7 non-base nodes"),
+        ("allocation = waterfill\nn_s = 10",
+         "allocation = explicit\nn_s = 9\nm = 1, 1, 1, 2, 1, 2, 2",
+         r"\[sensing\] n_s: 9 but m sums to 10"),
+    ],
+    ids=["alphas", "m", "n_s"],
+)
+def test_fields_that_disagree_are_named(old, new, message):
+    with pytest.raises(ac.ConfigError, match=message):
+        ac.parse_config(BASE_CONFIG.replace(old, new))
 
 
 def test_random_phases_require_seed():
@@ -260,6 +333,25 @@ def test_cli_sweep_needs_total(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", path)
     assert code == 1
     assert "[sweep] total" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "phases"])
+def test_cli_sweep_and_phases_reject_energy(tmp_path, capsys, command):
+    text = BASE_CONFIG + (
+        "\n[energy]\nb_max = 12\ne_move = 1\nr_chg = 2\n"
+        "\n[sweep]\ntotal = 10\n\n[phases]\nn_c_values = 3\n"
+    )
+    path = write_config(tmp_path, text)
+    code, out, err = run_cli(capsys, command, "--config", path)
+    assert code == 1 and out == ""
+    assert "[energy]" in err
+
+
+def test_cli_walk_rejects_alphas_of_the_wrong_length(tmp_path, capsys):
+    path = write_config(tmp_path, BASE_CONFIG.replace("alphas = 4, 6, 3,", "alphas ="))
+    code, out, err = run_cli(capsys, "walk", "--config", path)
+    assert code == 1 and out == ""
+    assert "[sensing] alphas" in err
 
 
 def test_cli_phases(tmp_path, capsys):

@@ -38,6 +38,15 @@ def test_walk_traverses_each_tree_edge_twice():
             assert walk.sequence[j + 1] == parent
 
 
+def test_walk_over_a_long_path_needs_no_recursion():
+    # one tree level per node: far deeper than the interpreter's recursion limit
+    n = 3000
+    g = ac.build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    walk = ac.euler_walk(ac.shortest_path_tree(g))
+    assert walk.sequence == tuple(range(n)) + tuple(range(n - 2, -1, -1))
+    assert walk.length == 2 * (n - 1)
+
+
 def test_walk_validation():
     with pytest.raises(ValueError):
         ac.EulerWalk(sequence=(0, 1, 0), length=3)

@@ -20,6 +20,7 @@ from agecourier.sim_engine import (
 )
 
 from _support import (
+    REF_WALK,
     checked_run,
     checked_run_energy,
     random_tree_graph,
@@ -64,7 +65,6 @@ def test_config_validation_errors():
         dataclasses.replace(good, warmup=good.horizon),
         dataclasses.replace(good, warmup=-1),
         dataclasses.replace(good, seed=-2),
-        dataclasses.replace(good, walk=ac.EulerWalk((0, 1, 0), 2)),
         dataclasses.replace(good, phase_set=ac.PhaseSet((0,), 6)),
         dataclasses.replace(good, alloc=ac.SensingAllocation((1, 1))),
         dataclasses.replace(good, model=ac.make_model((2.0, 2.0), max_m=2)),
@@ -72,6 +72,24 @@ def test_config_validation_errors():
     ):
         with pytest.raises(ConfigInvalid):
             bad.validate()
+
+
+def test_tree_and_walk_are_derived_from_the_graph():
+    names = [f.name for f in dataclasses.fields(ac.SimConfig)]
+    assert names == ["graph", "phase_set", "model", "alloc", "horizon", "warmup", "seed", "energy"]
+    cfg = ref_config()
+    assert cfg.tree == ac.shortest_path_tree(cfg.graph)
+    assert cfg.walk.sequence == REF_WALK
+    path = dataclasses.replace(
+        cfg,
+        graph=ac.build_graph(3, [(0, 1), (1, 2)]),
+        phase_set=ac.PhaseSet((0,), 4),
+        model=ac.make_model((2.0, 3.0), max_m=1),
+        alloc=ac.SensingAllocation((1, 1)),
+    )
+    assert path.tree.depth == (0, 1, 2)
+    assert path.walk.sequence == (0, 1, 2, 1, 0)
+    path.validate()
 
 
 def test_horizon_too_long_for_int64_age_sums_is_rejected():
@@ -136,9 +154,7 @@ def test_engines_bit_identical_on_random_instances():
     for _ in range(10):
         n = int(rng.integers(2, 9))
         g = random_tree_graph(rng, n)
-        tree = ac.shortest_path_tree(g)
-        walk = ac.euler_walk(tree)
-        L = walk.length
+        L = 2 * (n - 1)
         n_c = int(rng.integers(1, L + 1))
         strategy = rng.integers(0, 3)
         if strategy == 0:
@@ -150,8 +166,6 @@ def test_engines_bit_identical_on_random_instances():
         alphas = tuple(float(a) for a in rng.uniform(1.0, 9.0, size=n - 1))
         cfg = ac.SimConfig(
             graph=g,
-            tree=tree,
-            walk=walk,
             phase_set=phases,
             model=ac.make_model(alphas, max_m=2),
             alloc=ac.SensingAllocation((1,) * (n - 1)),
@@ -176,13 +190,8 @@ def test_same_seed_reproducible_and_seeds_differ():
 def test_degenerate_unit_workload_ages_equal_depth():
     # every sensing attempt succeeds instantly, every offset is staffed:
     # the age of node i is exactly its hop distance, every slot
-    g = ac.build_graph(2, [(0, 1)])
-    tree = ac.shortest_path_tree(g)
-    walk = ac.euler_walk(tree)
     cfg = ac.SimConfig(
-        graph=g,
-        tree=tree,
-        walk=walk,
+        graph=ac.build_graph(2, [(0, 1)]),
         phase_set=ac.uniform_phases(2, 2),
         model=ac.make_model((1.0,), max_m=1),
         alloc=ac.SensingAllocation((1,)),
@@ -218,6 +227,10 @@ def test_event_log_respects_freshest_flag_and_order():
     unsorted = ac.DeliveryLog([1, 1], [0, 2], [1, 3], [5, 4], [True, True])
     with pytest.raises(UnsortedLog):
         ac.aoi_from_event_log(unsorted, horizon=8)
+    # origins interleave in slot order; only origin 2's own events go backwards
+    interleaved = ac.DeliveryLog([1, 2, 1, 2], [0, 0, 2, 1], [1, 1, 3, 2], [2, 6, 4, 5], [True] * 4)
+    with pytest.raises(UnsortedLog, match="origin 2"):
+        ac.aoi_from_event_log(interleaved, horizon=8)
     with pytest.raises(ValueError):
         ac.aoi_from_event_log(fresh, horizon=5, warmup=5)
 
@@ -335,18 +348,14 @@ def test_battery_engine_matches_stepper_on_random_trees():
     for _ in range(12):
         n = int(rng.integers(2, 12))
         g = random_tree_graph(rng, n)
-        tree = ac.shortest_path_tree(g)
-        walk = ac.euler_walk(tree)
-        L = walk.length
+        L = 2 * (n - 1)
         n_c = int(rng.integers(1, L + 1))
         e_move = float(rng.choice([0.5, 1.0, 2.0]))
-        b_max = e_move * max(tree.depth) + float(rng.choice([0.0, 1.5, 6.0, 20.0]))
+        b_max = e_move * max(ac.bfs_distances(g).dist) + float(rng.choice([0.0, 1.5, 6.0, 20.0]))
         r_chg = float(rng.choice([0.5, 2.0]))
         _assert_matches_stepper(
             ac.SimConfig(
                 graph=g,
-                tree=tree,
-                walk=walk,
                 phase_set=ac.random_phases(n_c, L, seed=int(rng.integers(1 << 20))),
                 model=ac.make_model(tuple(rng.uniform(1.0, 9.0, size=n - 1)), max_m=3),
                 alloc=ac.SensingAllocation(tuple(int(m) for m in rng.integers(1, 4, size=n - 1))),
@@ -386,9 +395,7 @@ def _random_instances(draw):
     n = draw(st.integers(2, 9))
     edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
     g = ac.build_graph(n, edges)
-    tree = ac.shortest_path_tree(g)
-    walk = ac.euler_walk(tree)
-    L = walk.length
+    L = 2 * (n - 1)
     phases = draw(st.sets(st.integers(0, L - 1), min_size=1, max_size=L))
     k = n - 1
     alphas = draw(st.lists(st.floats(1.0, 9.0), min_size=k, max_size=k))
@@ -398,15 +405,13 @@ def _random_instances(draw):
         e_move = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
         slack = draw(st.sampled_from([0.0, 0.5, 2.0, 7.5, 30.0]))
         energy = ac.EnergyParams(
-            b_max=(e_move * max(tree.depth) + slack) or 1.0,
+            b_max=(e_move * max(ac.bfs_distances(g).dist) + slack) or 1.0,
             e_move=e_move,
             r_chg=draw(st.floats(0.25, 5.0)),
         )
     horizon = draw(st.integers(20, 600))
     return ac.SimConfig(
         graph=g,
-        tree=tree,
-        walk=walk,
         phase_set=ac.PhaseSet(tuple(sorted(phases)), L),
         model=ac.make_model(tuple(alphas), max_m=3),
         alloc=ac.SensingAllocation(tuple(m)),
