@@ -30,7 +30,7 @@ from .sensing_alloc import (
     mu,
     water_fill,
 )
-from .sim_engine import SimConfig, SimResult, generation_mask, run, run_energy
+from .sim_engine import ConfigInvalid, SimConfig, SimResult, generation_mask, run, run_energy
 
 
 class DimensionMismatch(ValueError):
@@ -241,8 +241,11 @@ def phase_comparison(
 def pickup_wait_mean(cfg: SimConfig) -> float:
     """Average wait from each simulated sensing completion to the next slot a
     conveyor departs its node toward the base (0 when one departs the same
-    slot), over cfg.horizon slots of seed cfg.seed. Uses the same per-node
-    generation streams as the simulator."""
+    slot), over all of [0, cfg.horizon) of seed cfg.seed with no warmup. Uses
+    the same per-node generation streams as the simulator. Waits follow the
+    unconstrained walk, so a config with energy parameters is rejected."""
+    if cfg.energy is not None:
+        raise ConfigInvalid("pickup_wait_mean: energy-limited conveyors leave the walk")
     L = cfg.walk.length
     total = count = 0
     for i in range(cfg.model.node_count):

@@ -58,11 +58,7 @@ def _build_graph(cfg: ExperimentConfig) -> Graph:
 
 
 def _default_max_m(cfg: ExperimentConfig) -> int:
-    if cfg.max_m is not None:
-        return cfg.max_m
-    if cfg.allocation == "explicit":
-        return max(cfg.m) + 1
-    return cfg.n_s + 1
+    return cfg.max_m if cfg.max_m is not None else _sensing_budget(cfg) + 1
 
 
 def _build_model(cfg: ExperimentConfig) -> SensingModel:

@@ -69,18 +69,8 @@ def _get(cp, section, key, conv, required=True, default=None):
     raw = cp.get(section, key).strip()
     try:
         return conv(raw)
-    except ConfigError:
-        raise
     except Exception:
         _fail(section, key, f"cannot parse value {raw!r}")
-
-
-def _int(raw: str) -> int:
-    return int(raw)
-
-
-def _float(raw: str) -> float:
-    return float(raw)
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
@@ -121,16 +111,16 @@ def parse_config(text: str) -> ExperimentConfig:
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
 
-    node_count = _get(cp, "graph", "nodes", _int)
+    node_count = _get(cp, "graph", "nodes", int)
     edges = _get(cp, "graph", "edges", _edge_list)
 
     alphas = _get(cp, "sensing", "alphas", _float_list)
     allocation = _get(cp, "sensing", "allocation", str)
     if allocation not in ALLOCATION_STRATEGIES:
         _fail("sensing", "allocation", f"must be one of {ALLOCATION_STRATEGIES}")
-    n_s = _get(cp, "sensing", "n_s", _int, required=allocation != "explicit")
+    n_s = _get(cp, "sensing", "n_s", int, required=allocation != "explicit")
     m = _get(cp, "sensing", "m", _int_list, required=allocation == "explicit")
-    max_m = _get(cp, "sensing", "max_m", _int, required=False)
+    max_m = _get(cp, "sensing", "max_m", int, required=False)
     k = node_count - 1
     if len(alphas) != k:
         _fail("sensing", "alphas", f"got {len(alphas)} values for {k} non-base nodes")
@@ -143,13 +133,13 @@ def parse_config(text: str) -> ExperimentConfig:
     phase_strategy = _get(cp, "conveyors", "phases", str)
     if phase_strategy not in PHASE_STRATEGIES:
         _fail("conveyors", "phases", f"must be one of {PHASE_STRATEGIES}")
-    n_c = _get(cp, "conveyors", "n_c", _int)
+    n_c = _get(cp, "conveyors", "n_c", int)
     phase_seed = _get(
-        cp, "conveyors", "phase_seed", _int, required=phase_strategy == "random", default=0
+        cp, "conveyors", "phase_seed", int, required=phase_strategy == "random", default=0
     )
 
-    horizon = _get(cp, "simulation", "horizon", _int)
-    warmup = _get(cp, "simulation", "warmup", _int)
+    horizon = _get(cp, "simulation", "horizon", int)
+    warmup = _get(cp, "simulation", "warmup", int)
     seeds = _get(cp, "simulation", "seeds", _int_list)
     if not seeds:
         _fail("simulation", "seeds", "needs at least one seed")
@@ -157,20 +147,20 @@ def parse_config(text: str) -> ExperimentConfig:
     energy = None
     if cp.has_section("energy"):
         energy = EnergyParams(
-            b_max=_get(cp, "energy", "b_max", _float),
-            e_move=_get(cp, "energy", "e_move", _float),
-            r_chg=_get(cp, "energy", "r_chg", _float),
+            b_max=_get(cp, "energy", "b_max", float),
+            e_move=_get(cp, "energy", "e_move", float),
+            r_chg=_get(cp, "energy", "r_chg", float),
         )
 
     sweep_total = None
     if cp.has_section("sweep"):
-        sweep_total = _get(cp, "sweep", "total", _int)
+        sweep_total = _get(cp, "sweep", "total", int)
 
     n_c_values = None
     random_draws = 5
     if cp.has_section("phases"):
         n_c_values = _get(cp, "phases", "n_c_values", _int_list)
-        random_draws = _get(cp, "phases", "random_draws", _int, required=False, default=5)
+        random_draws = _get(cp, "phases", "random_draws", int, required=False, default=5)
 
     out_csv = out_trace = None
     if cp.has_section("output"):

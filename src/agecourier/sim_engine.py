@@ -202,7 +202,7 @@ def run(cfg: SimConfig, engine: str = "table") -> SimResult:
         delay = _transport_delay_table(cfg.walk.sequence, cfg.phase_set.phases)
         return _replay(cfg, lambda node, gens: gens + delay[node][gens % L])
     if engine == "stepper":
-        return _run_stepper(cfg, None)
+        return _run_stepper(cfg)
     raise ConfigInvalid(f"unknown engine {engine!r}")
 
 
@@ -226,8 +226,7 @@ def run_energy(cfg: SimConfig) -> SimResult:
             f"at e_move={cfg.energy.e_move}"
         )
     stats = [[0] * len(cfg.phase_set.phases) for _ in range(4)]
-    positions = _fleet_positions(cfg, cfg.energy, stats)
-    trajectory = [tuple(pos) for pos in islice(positions, cfg.horizon)]
+    trajectory = list(islice(_fleet_positions(cfg, stats), cfg.horizon))
     times, arrive = _earliest_arrival(trajectory, cfg.graph.node_count)
     return _replay(
         cfg,
@@ -244,15 +243,14 @@ def _node_probs(model: SensingModel, alloc: SensingAllocation) -> list[float]:
 # conveyor motion, shared by both engines
 # ---------------------------------------------------------------------------
 
-def _fleet_positions(cfg: SimConfig, energy: EnergyParams | None, stats):
-    """Yield every conveyor's position for slots 0, 1, 2, ... as one list
-    updated in place. stats holds four per-conveyor counter lists in
-    ConveyorEnergyStats order (recharges, charge, hold and return slots).
-    Unconstrained motion is the zero move cost case: every hop is affordable
-    and no conveyor starts docked.
+def _fleet_positions(cfg: SimConfig, stats):
+    """Yield every conveyor's position for slots 0, 1, 2, ... as one tuple
+    per slot, moving under cfg.energy. stats holds four per-conveyor counter
+    lists in ConveyorEnergyStats order (recharges, charge, hold and return
+    slots). Unconstrained motion is the zero move cost case: every hop is
+    affordable and no conveyor starts docked.
     """
-    if energy is None:
-        energy = EnergyParams(b_max=1.0, e_move=0.0, r_chg=1.0)
+    energy = cfg.energy or EnergyParams(b_max=1.0, e_move=0.0, r_chg=1.0)
     L = cfg.walk.length
     w = cfg.walk.sequence[:L]
     phases = cfg.phase_set.phases
@@ -279,7 +277,7 @@ def _fleet_positions(cfg: SimConfig, energy: EnergyParams | None, stats):
         if b0 < e_move * (depth[pos[c]] + 1.0):
             pos[c] = BASE
             state[c] = _CHARGE
-    yield pos
+    yield tuple(pos)
     for t in count(1):
         for c, phi in enumerate(phases):
             st = state[c]
@@ -315,7 +313,7 @@ def _fleet_positions(cfg: SimConfig, energy: EnergyParams | None, stats):
             else:
                 state[c] = _HOLD
                 hold_slots[c] += 1
-        yield pos
+        yield tuple(pos)
 
 
 def _energy_trace(stats) -> tuple[ConveyorEnergyStats, ...]:
@@ -326,7 +324,7 @@ def _energy_trace(stats) -> tuple[ConveyorEnergyStats, ...]:
 # reference engine: literal per-slot stepper
 # ---------------------------------------------------------------------------
 
-def _run_stepper(cfg: SimConfig, energy: EnergyParams | None) -> SimResult:
+def _run_stepper(cfg: SimConfig) -> SimResult:
     nodes = cfg.graph.node_count
     k = nodes - 1
     horizon, warmup = cfg.horizon, cfg.warmup
@@ -334,7 +332,7 @@ def _run_stepper(cfg: SimConfig, energy: EnergyParams | None) -> SimResult:
     masks = [generation_mask(cfg.seed, i + 1, qs[i], horizon).tolist() for i in range(k)]
     nc = len(cfg.phase_set.phases)
     stats = [[0] * nc for _ in range(4)]
-    positions = _fleet_positions(cfg, energy, stats)
+    positions = _fleet_positions(cfg, stats)
 
     # per-robot freshest sample per origin: generation slot and sensing start
     store_g = [[-1] * k for _ in range(nc)]
@@ -445,7 +443,7 @@ def _run_stepper(cfg: SimConfig, energy: EnergyParams | None) -> SimResult:
         per_node_aoi=per_node,
         network_aoi=network,
         delivery_log=log,
-        energy_trace=None if energy is None else _energy_trace(stats),
+        energy_trace=None if cfg.energy is None else _energy_trace(stats),
     )
 
 
@@ -462,7 +460,9 @@ def _earliest_arrival(trajectory, node_count: int):
     X(pos(c, t+1), t+1). X(v, .) only drops at conveyor visits, so it comes
     back as per-node change lists, not an H x n array:
     X(v, g) = arrive[v][np.searchsorted(times[v], g)], where len(trajectory)
-    means undelivered.
+    means undelivered. The recurrence gives X(v, t) <= X(v, t+1): X(v, .)
+    never decreases, so each arrive[v] is strictly increasing and a later
+    sample never reaches the base before an earlier one.
     """
     T = len(trajectory)
     x = [T] * node_count  # X(., t+1) while slot t is processed
@@ -508,8 +508,14 @@ def _transport_delay_table(walk_seq: tuple[int, ...], phases: tuple[int, ...]) -
 def _replay(cfg: SimConfig, deliver, energy_trace=None) -> SimResult:
     """Run the per-node generation processes through deliver(node, gens),
     the first base delivery slot of each sample generated at node in slots
-    gens (at or past the horizon: undelivered). The base logs a sample only
-    when it strictly refreshes its copy, at most one per origin per slot.
+    gens (at or past the horizon: undelivered). The base logs the freshest
+    sample arriving in each slot.
+
+    Deliveries never overtake: deliver is nondecreasing in the generation
+    slot (X(v, .) never decreases, see `_earliest_arrival`). So the delivered
+    samples are a prefix of gens already in delivery order, and the last of
+    each run of equal delivery slots strictly refreshes the base copy; no
+    sort or refresh filter is needed.
     """
     k = cfg.graph.node_count - 1
     horizon, warmup = cfg.horizon, cfg.warmup
@@ -526,39 +532,20 @@ def _replay(cfg: SimConfig, deliver, energy_trace=None) -> SimResult:
         node = o + 1
         mask = generation_mask(cfg.seed, node, qs[o], horizon)
         gens = np.flatnonzero(mask).astype(np.int64)
-        if gens.size:
-            starts = np.empty_like(gens)
-            starts[0] = 0
-            starts[1:] = gens[:-1] + 1
-            d = deliver(node, gens)
-            sel = d < horizon
-            d1, g1, s1 = d[sel], gens[sel], starts[sel]
-        else:
-            d1 = g1 = s1 = np.empty(0, dtype=np.int64)
-
-        if d1.size:
-            order = np.argsort(d1, kind="stable")  # ties keep ascending g
-            ds, gs, ss = d1[order], g1[order], s1[order]
-            runmax = np.maximum.accumulate(gs)
-            prev = np.empty_like(runmax)
-            prev[0] = -1
-            prev[1:] = runmax[:-1]
-            keep = gs > prev  # strict refresh of the base copy
-            dk, gk, sk = ds[keep], gs[keep], ss[keep]
-            last = np.ones(dk.size, dtype=bool)  # one event per slot: the max
-            last[:-1] = dk[1:] != dk[:-1]
-            dk, gk, sk = dk[last], gk[last], sk[last]
-        else:
-            dk = gk = sk = np.empty(0, dtype=np.int64)
+        starts = np.concatenate(([0], gens + 1))  # starts[j]: sensing start of gens[j]
+        d = deliver(node, gens)
+        n = np.searchsorted(d, horizon)  # the delivered prefix
+        d, gens, starts = d[:n], gens[:n], starts[:n]
+        last = np.diff(d, append=horizon) > 0  # the freshest arrival per slot
+        dk, gk, sk = d[last], gens[last], starts[last]
 
         # integer age sum over [warmup, horizon): piecewise t - s segments
         seg_lo = np.concatenate((np.zeros(1, dtype=np.int64), dk))
         seg_hi = np.concatenate((dk, np.asarray([horizon], dtype=np.int64)))
         seg_s = np.concatenate((np.zeros(1, dtype=np.int64), sk))
         lo = np.maximum(seg_lo, warmup)
-        hi = np.minimum(seg_hi, horizon)
-        n = np.maximum(hi - lo, 0)
-        contrib = (lo + hi - 1) * n // 2 - seg_s * n
+        width = np.maximum(seg_hi - lo, 0)
+        contrib = (lo + seg_hi - 1) * width // 2 - seg_s * width
         per_node[node] = int(contrib.sum()) / n_slots
 
         all_org.append(np.full(dk.size, node, dtype=np.int64))

@@ -156,6 +156,13 @@ def test_pickup_wait_matches_exact_residual_computation():
     assert abs(mean - expect) < 0.02
 
 
+def test_pickup_wait_rejects_energy_configs():
+    # battery detours move conveyors off the walk the waits are computed from
+    cfg = ref_config(n_c=4, energy=ac.EnergyParams(b_max=6.0, e_move=2.0, r_chg=0.5))
+    with pytest.raises(ConfigInvalid, match="energy"):
+        ac.pickup_wait_mean(cfg)
+
+
 def test_residual_life_mean_is_exact_fraction():
     assert ac.residual_life_mean(ac.uniform_phases(14, 7)) == Fraction(1, 1)
     val = ac.residual_life_mean(ac.clustered_phases(3, 14))

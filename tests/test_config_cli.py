@@ -233,6 +233,35 @@ def test_cli_waterfill(tmp_path, capsys):
     assert any(l.startswith("# objective:") for l in out.splitlines())
 
 
+def test_cli_waterfill_explicit_budget_is_sum_of_m(tmp_path, capsys):
+    # with no max_m the cap is the budget sum(m) + 1, not max(m) + 1
+    text = """\
+[graph]
+nodes = 4
+edges = 0-1, 0-2, 0-3
+
+[sensing]
+alphas = 100, 1, 1
+allocation = explicit
+m = 2, 2, 2
+
+[conveyors]
+phases = uniform
+n_c = 6
+
+[simulation]
+horizon = 100
+warmup = 0
+seeds = 0
+"""
+    code, out, _ = run_cli(capsys, "waterfill", "--config", write_config(tmp_path, text))
+    assert code == 0
+    lines = out.splitlines()
+    ms = [int(l.split(",")[2]) for l in lines if l[:1].isdigit()]
+    assert ms == [4, 1, 1]
+    assert "# objective: 27" in lines
+
+
 def test_cli_walk_and_audit(tmp_path, capsys):
     path = write_config(tmp_path)
     code, out, _ = run_cli(capsys, "walk", "--config", path)

@@ -2,6 +2,7 @@
 event-log reconstruction, and the battery state machine."""
 
 import dataclasses
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from agecourier.sim_engine import (
     ConfigInvalid,
     InvalidProbability,
     UnsortedLog,
+    _earliest_arrival,
     _fleet_positions,
     _run_stepper,
+    _transport_delay_table,
 )
 
 from _support import (
@@ -325,7 +328,7 @@ def test_walk_positions_follow_offsets():
 
 def _assert_matches_stepper(cfg: ac.SimConfig) -> ac.SimResult:
     fast = checked_run_energy(cfg)
-    ref = _run_stepper(cfg, cfg.energy)
+    ref = _run_stepper(cfg)
     _assert_identical(fast, ref)
     assert fast.energy_trace == ref.energy_trace
     return fast
@@ -373,7 +376,7 @@ def test_battery_engine_edge_cases_match_stepper():
     docked = ref_config(
         horizon=2000, seed=3, energy=ac.EnergyParams(b_max=12.0, e_move=2.0, r_chg=2.0)
     )
-    start = next(_fleet_positions(docked, docked.energy, [[0] * 14 for _ in range(4)]))
+    start = next(_fleet_positions(docked, [[0] * 14 for _ in range(4)]))
     assert any(p == BASE != walk.sequence[phi] for p, phi in zip(start, docked.phase_set.phases))
     _assert_matches_stepper(docked)
     # battery exactly covers the deepest return (depth 3)
@@ -426,6 +429,23 @@ def _random_instances(draw):
 @given(_random_instances())
 def test_arrival_dp_equals_stepper_property(cfg):
     if cfg.energy is None:
-        _assert_identical(checked_run(cfg), _run_stepper(cfg, None))
+        _assert_identical(checked_run(cfg), _run_stepper(cfg))
     else:
         _assert_matches_stepper(cfg)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(_random_instances())
+def test_deliveries_never_overtake_property(cfg):
+    # a later sample never reaches the base before an earlier one; the replay
+    # relies on this instead of sorting and filtering for refreshes
+    if cfg.energy is None:
+        L = cfg.walk.length
+        delay = _transport_delay_table(cfg.walk.sequence, cfg.phase_set.phases)
+        g = np.arange(3 * L)
+        assert np.all(np.diff(g + delay[1:, g % L], axis=1) >= 0)
+    else:
+        stats = [[0] * len(cfg.phase_set.phases) for _ in range(4)]
+        trajectory = list(islice(_fleet_positions(cfg, stats), cfg.horizon))
+        _, arrive = _earliest_arrival(trajectory, cfg.graph.node_count)
+        assert all(np.all(np.diff(a) > 0) for a in arrive)
