@@ -22,14 +22,8 @@ from .conveyor_plan import (
     random_phases,
     uniform_phases,
 )
-from .graph_core import DistanceMap, Graph, bfs_distances
-from .sensing_alloc import (
-    SensingAllocation,
-    SensingModel,
-    make_model,
-    mu,
-    water_fill,
-)
+from .graph_core import DistanceMap, bfs_distances
+from .sensing_alloc import SensingAllocation, SensingModel, mu, water_fill
 from .sim_engine import ConfigInvalid, SimConfig, SimResult, generation_mask, run, run_energy
 
 
@@ -61,7 +55,6 @@ class SweepCell:
     mean_aoi: float
     std_aoi: float
     bound: float
-    seeds: int
 
 
 @dataclass(frozen=True)
@@ -126,56 +119,37 @@ def _network_mean_std(cfg: SimConfig, seeds) -> tuple[float, float]:
     return mean_std(list(map(attrgetter("network_aoi"), seed_runs(cfg, seeds))))
 
 
-def split_sweep(
-    graph: Graph,
-    alphas,
-    total: int,
-    *,
-    horizon: int,
-    warmup: int,
-    seeds,
-) -> tuple[list[SweepCell], SweepCell]:
+def split_sweep(cfg: SimConfig, total: int, seeds) -> tuple[list[SweepCell], SweepCell]:
     """Sweep every split of `total` robots into n_s sensors plus n_c conveyors.
 
-    Sensing robots are placed by water-filling; conveyors get evenly spread
-    phases. Splits asking for more conveyors than walk positions reuse the
-    full phase set, and the cell records the effective count. Returns all
-    cells plus the argmin cell (ties resolve to the larger n_s, favoring
-    sensing once conveying is saturated).
+    Each split varies the scenario `cfg`: its sensing robots are water-filled
+    under `cfg.model`, and its conveyors get evenly spread phases. Splits
+    asking for more conveyors than walk positions reuse the full phase set,
+    and the cell records the effective count. Returns all cells plus the
+    argmin cell (ties resolve to the larger n_s, favoring sensing once
+    conveying is saturated).
     """
-    k = graph.node_count - 1
+    k = cfg.graph.node_count - 1
     if total < k + 1:
         raise BudgetTooSmall(f"total {total} cannot cover {k} sensors plus one conveyor")
-    L = 2 * k  # the closed walk crosses each of the k tree edges twice
-    dist = bfs_distances(graph)
-    model = make_model(alphas, max_m=total)
+    L = cfg.walk.length
+    dist = bfs_distances(cfg.graph)
     seeds = list(seeds)
-    # every cell replaces the allocation and the phase set
-    scenario = SimConfig(
-        graph=graph,
-        phase_set=uniform_phases(L, 1),
-        model=model,
-        alloc=SensingAllocation((1,) * k),
-        horizon=horizon,
-        warmup=warmup,
-        seed=0,
-    )
 
     cells: list[SweepCell] = []
     best: SweepCell | None = None
     for n_s in range(k, total):
         n_c = total - n_s
         n_c_eff = min(n_c, L)
-        cfg = replace(scenario, alloc=water_fill(model, n_s), phase_set=uniform_phases(L, n_c_eff))
-        mean, std = _network_mean_std(cfg, seeds)
+        split = replace(cfg, alloc=water_fill(cfg.model, n_s), phase_set=uniform_phases(L, n_c_eff))
+        mean, std = _network_mean_std(split, seeds)
         cell = SweepCell(
             n_s=n_s,
             n_c=n_c,
             n_c_effective=n_c_eff,
             mean_aoi=mean,
             std_aoi=std,
-            bound=lower_bound(model, cfg.alloc, dist).network_bound,
-            seeds=len(seeds),
+            bound=lower_bound(cfg.model, split.alloc, dist).network_bound,
         )
         cells.append(cell)
         if best is None or cell.mean_aoi <= best.mean_aoi:  # ties: larger n_s wins
@@ -184,39 +158,16 @@ def split_sweep(
 
 
 def phase_comparison(
-    graph: Graph,
-    alphas,
-    n_s: int,
-    n_c_values,
-    *,
-    horizon: int,
-    warmup: int,
-    seeds,
-    random_draws: int = 5,
-    phase_seed: int = 0,
+    cfg: SimConfig, n_c_values, seeds, random_draws: int = 5, phase_seed: int = 0
 ) -> list[PhaseRow]:
-    """Compare phase strategies at several conveyor counts.
+    """Compare phase strategies at several conveyor counts in the scenario `cfg`.
 
     For each n_c the table holds one row for the evenly spread schedule, one
     for the clustered convoy, and one per seeded random draw; a final row
-    carries the analytic floor for reference.
+    carries the analytic floor of `cfg`'s allocation for reference.
     """
-    k = graph.node_count - 1
-    L = 2 * k  # the closed walk crosses each of the k tree edges twice
-    dist = bfs_distances(graph)
-    model = make_model(alphas, max_m=max(n_s, k) + 1)
-    alloc = water_fill(model, n_s)
+    L = cfg.walk.length
     seeds = list(seeds)
-    # every schedule replaces the phase set
-    scenario = SimConfig(
-        graph=graph,
-        phase_set=uniform_phases(L, 1),
-        model=model,
-        alloc=alloc,
-        horizon=horizon,
-        warmup=warmup,
-        seed=0,
-    )
 
     rows: list[PhaseRow] = []
     for n_c in n_c_values:
@@ -225,13 +176,13 @@ def phase_comparison(
         for j in range(random_draws):
             schedules.append((f"random{j}", random_phases(n_c, L, phase_seed + j)))
         for name, phases in schedules:
-            mean, std = _network_mean_std(replace(scenario, phase_set=phases), seeds)
+            mean, std = _network_mean_std(replace(cfg, phase_set=phases), seeds)
             rows.append(PhaseRow(strategy=name, n_c=n_c, mean_aoi=mean, std_aoi=std))
     rows.append(
         PhaseRow(
             strategy="bound",
             n_c=None,
-            mean_aoi=lower_bound(model, alloc, dist).network_bound,
+            mean_aoi=lower_bound(cfg.model, cfg.alloc, bfs_distances(cfg.graph)).network_bound,
             std_aoi=0.0,
         )
     )

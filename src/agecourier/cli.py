@@ -1,8 +1,11 @@
 """Command-line front-end: parse an experiment config, dispatch a subcommand,
 emit CSV tables and optional delivery traces.
 
-Subcommands: bound | waterfill | walk | phases | audit | simulate | sweep;
-sweep and phases run unconstrained conveyors and reject an [energy] section.
+Subcommands: bound | waterfill | walk | phases | audit | simulate | sweep.
+Each reads the one scenario (a SimConfig) that `_scenario` builds from the
+config, so a config that cannot be built fails every subcommand. sweep varies
+the scenario's allocation and phase set per split, phases varies only its
+phase set; both run unconstrained conveyors and reject an [energy] section.
 Global flags: --config FILE (required), --seed N (replaces the config's seed
 list with the single seed N), --out FILE (write the CSV there instead of
 stdout; [output] csv when absent), --echo-config (print the config and exit).
@@ -26,18 +29,10 @@ import sys
 from . import __version__
 from .analysis import lower_bound, mean_std, phase_comparison, seed_runs, split_sweep
 from .config import ConfigError, ExperimentConfig, load_config, render_config
-from .conveyor_plan import (
-    PhaseSet,
-    clustered_phases,
-    coverage_audit,
-    euler_walk,
-    random_phases,
-    uniform_phases,
-)
-from .graph_core import Graph, bfs_distances, build_graph, shortest_path_tree
+from .conveyor_plan import clustered_phases, coverage_audit, random_phases, uniform_phases
+from .graph_core import bfs_distances, build_graph
 from .sensing_alloc import (
     SensingAllocation,
-    SensingModel,
     allocation_objective,
     make_model,
     mu,
@@ -49,43 +44,41 @@ from .sim_engine import DeliveryLog, SimConfig
 
 
 # ---------------------------------------------------------------------------
-# Assembling model objects from an ExperimentConfig
+# The one scenario a config describes
 # ---------------------------------------------------------------------------
 
 
-def _build_graph(cfg: ExperimentConfig) -> Graph:
-    return build_graph(cfg.node_count, cfg.edges)
-
-
-def _default_max_m(cfg: ExperimentConfig) -> int:
-    return cfg.max_m if cfg.max_m is not None else _sensing_budget(cfg) + 1
-
-
-def _build_model(cfg: ExperimentConfig) -> SensingModel:
-    return make_model(cfg.alphas, _default_max_m(cfg))
-
-
-def _build_alloc(cfg: ExperimentConfig, model: SensingModel) -> SensingAllocation:
+def _scenario(cfg: ExperimentConfig) -> SimConfig:
+    """Every subcommand reads this scenario; sweeps and phase comparisons vary it."""
+    graph = build_graph(cfg.node_count, cfg.edges)
+    budget = cfg.n_s if cfg.n_s is not None else sum(cfg.m)
+    max_m = cfg.max_m
+    if max_m is None:  # one above any budget a subcommand hands out, so it never binds
+        max_m = max(budget, cfg.sweep_total or 0) + 1
+    model = make_model(cfg.alphas, max_m)
     if cfg.allocation == "explicit":
-        return SensingAllocation(m=cfg.m)
-    if cfg.allocation == "uniform":
-        return uniform_alloc(model, cfg.n_s)
-    return water_fill(model, cfg.n_s)
-
-
-def _build_phases(cfg: ExperimentConfig) -> PhaseSet:
+        alloc = SensingAllocation(m=cfg.m)
+    elif cfg.allocation == "uniform":
+        alloc = uniform_alloc(model, budget)
+    else:
+        alloc = water_fill(model, budget)
     L = 2 * (cfg.node_count - 1)  # the closed walk crosses each tree edge twice
     if cfg.phase_strategy == "clustered":
-        return clustered_phases(cfg.n_c, L)
-    if cfg.phase_strategy == "random":
-        return random_phases(cfg.n_c, L, cfg.phase_seed)
-    return uniform_phases(L, cfg.n_c)
-
-
-def _sensing_budget(cfg: ExperimentConfig) -> int:
-    if cfg.n_s is not None:
-        return cfg.n_s
-    return sum(cfg.m)
+        phases = clustered_phases(cfg.n_c, L)
+    elif cfg.phase_strategy == "random":
+        phases = random_phases(cfg.n_c, L, cfg.phase_seed)
+    else:
+        phases = uniform_phases(L, cfg.n_c)
+    return SimConfig(
+        graph=graph,
+        phase_set=phases,
+        model=model,
+        alloc=alloc,
+        horizon=cfg.horizon,
+        warmup=cfg.warmup,
+        seed=cfg.seeds[0],
+        energy=cfg.energy,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +126,8 @@ def _comments(cfg: ExperimentConfig, with_seeds: bool = True) -> list[str]:
 
 
 def cmd_bound(cfg: ExperimentConfig, out_path: str | None) -> int:
-    graph = _build_graph(cfg)
-    model = _build_model(cfg)
-    alloc = _build_alloc(cfg, model)
-    report = lower_bound(model, alloc, bfs_distances(graph))
+    s = _scenario(cfg)
+    report = lower_bound(s.model, s.alloc, bfs_distances(s.graph))
     rows = [(node, b) for node, b in sorted(report.per_node_bound.items())]
     rows.append(("network", report.network_bound))
     text = _render_csv(("node", "bound"), rows, _comments(cfg, with_seeds=False))
@@ -145,8 +136,9 @@ def cmd_bound(cfg: ExperimentConfig, out_path: str | None) -> int:
 
 
 def cmd_waterfill(cfg: ExperimentConfig, out_path: str | None) -> int:
-    model = _build_model(cfg)
-    alloc = water_fill(model, _sensing_budget(cfg))
+    s = _scenario(cfg)
+    model = s.model
+    alloc = water_fill(model, s.alloc.total)
     rows = [
         (
             i + 1,
@@ -165,7 +157,7 @@ def cmd_waterfill(cfg: ExperimentConfig, out_path: str | None) -> int:
 
 
 def cmd_walk(cfg: ExperimentConfig, out_path: str | None) -> int:
-    walk = euler_walk(shortest_path_tree(_build_graph(cfg)))
+    walk = _scenario(cfg).walk
     comments = _comments(cfg, with_seeds=False)
     comments.append(f"walk length: {walk.length}")
     rows = list(enumerate(walk.sequence))
@@ -175,8 +167,8 @@ def cmd_walk(cfg: ExperimentConfig, out_path: str | None) -> int:
 
 
 def cmd_audit(cfg: ExperimentConfig, out_path: str | None) -> int:
-    walk = euler_walk(shortest_path_tree(_build_graph(cfg)))
-    report = coverage_audit(walk, _build_phases(cfg))
+    s = _scenario(cfg)
+    report = coverage_audit(s.walk, s.phase_set)
     lines = [f"full coverage: {'true' if report.full_coverage else 'false'}"]
     for node, slot in report.violations:
         lines.append(f"violation: node={node} slot={slot}")
@@ -186,26 +178,13 @@ def cmd_audit(cfg: ExperimentConfig, out_path: str | None) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
-    graph = _build_graph(cfg)
-    phases = _build_phases(cfg)
-    model = _build_model(cfg)
-    alloc = _build_alloc(cfg, model)
-    bound = lower_bound(model, alloc, bfs_distances(graph))
-    scenario = SimConfig(
-        graph=graph,
-        phase_set=phases,
-        model=model,
-        alloc=alloc,
-        horizon=cfg.horizon,
-        warmup=cfg.warmup,
-        seed=cfg.seeds[0],
-        energy=cfg.energy,
-    )
+    s = _scenario(cfg)
+    bound = lower_bound(s.model, s.alloc, bfs_distances(s.graph))
 
     # per-seed ages; only the first seed's delivery log is traced, so only it is kept
     ages: list[tuple[dict[int, float], float]] = []
     first_log = None
-    for res in seed_runs(scenario, cfg.seeds):
+    for res in seed_runs(s, cfg.seeds):
         ages.append((res.per_node_aoi, res.network_aoi))
         if first_log is None:
             first_log = res.delivery_log
@@ -254,14 +233,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_path: str | None) -> int:
         raise ConfigError("[energy]: sweep runs unconstrained conveyors only")
     if cfg.sweep_total is None:
         raise ConfigError("[sweep] total: missing required field")
-    cells, best = split_sweep(
-        _build_graph(cfg),
-        cfg.alphas,
-        cfg.sweep_total,
-        horizon=cfg.horizon,
-        warmup=cfg.warmup,
-        seeds=cfg.seeds,
-    )
+    cells, best = split_sweep(_scenario(cfg), cfg.sweep_total, cfg.seeds)
     rows = [
         (c.n_s, c.n_c, c.mean_aoi, c.std_aoi, c.bound, int(c is best)) for c in cells
     ]
@@ -279,13 +251,9 @@ def cmd_phases(cfg: ExperimentConfig, out_path: str | None) -> int:
     if n_c_values is None:
         n_c_values = (cfg.n_c,)
     rows_src = phase_comparison(
-        _build_graph(cfg),
-        cfg.alphas,
-        _sensing_budget(cfg),
+        _scenario(cfg),
         n_c_values,
-        horizon=cfg.horizon,
-        warmup=cfg.warmup,
-        seeds=cfg.seeds,
+        cfg.seeds,
         random_draws=cfg.phases_random_draws,
         phase_seed=cfg.phase_seed,
     )

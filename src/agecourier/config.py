@@ -134,6 +134,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if phase_strategy not in PHASE_STRATEGIES:
         _fail("conveyors", "phases", f"must be one of {PHASE_STRATEGIES}")
     n_c = _get(cp, "conveyors", "n_c", int)
+    walk_length = 2 * k  # the closed walk crosses each tree edge twice
+    if not 1 <= n_c <= walk_length:
+        _fail("conveyors", "n_c", f"{n_c} outside 1..{walk_length}, the walk length")
     phase_seed = _get(
         cp, "conveyors", "phase_seed", int, required=phase_strategy == "random", default=0
     )
@@ -161,6 +164,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if cp.has_section("phases"):
         n_c_values = _get(cp, "phases", "n_c_values", _int_list)
         random_draws = _get(cp, "phases", "random_draws", int, required=False, default=5)
+        for v in n_c_values:
+            if not 1 <= v <= walk_length:
+                _fail("phases", "n_c_values", f"{v} outside 1..{walk_length}, the walk length")
+        if random_draws < 0:
+            _fail("phases", "random_draws", f"must be >= 0, got {random_draws}")
 
     out_csv = out_trace = None
     if cp.has_section("output"):

@@ -67,7 +67,7 @@ class EnergyParams:
     def __post_init__(self):
         if not self.b_max > 0:
             raise ConfigInvalid(f"b_max must be > 0, got {self.b_max}")
-        if self.e_move < 0:
+        if not self.e_move >= 0:
             raise ConfigInvalid(f"e_move must be >= 0, got {self.e_move}")
         if not self.r_chg > 0:
             raise ConfigInvalid(f"r_chg must be > 0, got {self.r_chg}")

@@ -90,7 +90,7 @@ def test_mean_std():
 
 def test_split_sweep_budget_guard():
     with pytest.raises(BudgetTooSmall):
-        ac.split_sweep(ref_graph(), REF_ALPHAS, 7, horizon=300, warmup=30, seeds=[0])
+        ac.split_sweep(ref_config(horizon=300, warmup=30), 7, seeds=[0])
 
 
 def test_split_sweep_cells_and_plateau():
@@ -98,7 +98,11 @@ def test_split_sweep_cells_and_plateau():
     # the sensing mean is clamped at 1 from two robots on, so the capped cells
     # are exact replicas of each other
     g = ac.build_graph(2, [(0, 1)])
-    cells, best = ac.split_sweep(g, (2.0,), 6, horizon=1200, warmup=100, seeds=[0, 1, 2])
+    scenario = ac.SimConfig(
+        graph=g, phase_set=ac.uniform_phases(2, 1), model=ac.make_model((2.0,), max_m=6),
+        alloc=ac.SensingAllocation((1,)), horizon=1200, warmup=100, seed=0,
+    )
+    cells, best = ac.split_sweep(scenario, 6, seeds=[0, 1, 2])
     assert [(c.n_s, c.n_c) for c in cells] == [(1, 5), (2, 4), (3, 3), (4, 2), (5, 1)]
     assert [c.n_c_effective for c in cells] == [2, 2, 2, 2, 1]
     by_ns = {c.n_s: c for c in cells}
@@ -106,13 +110,12 @@ def test_split_sweep_cells_and_plateau():
     assert by_ns[2].std_aoi == by_ns[4].std_aoi
     # ties between replicas resolve toward more sensing
     assert best == by_ns[4]
-    assert all(c.seeds == 3 for c in cells)
     assert best.mean_aoi == min(c.mean_aoi for c in cells)
 
 
 def test_split_sweep_bounds_recorded():
     g = ref_graph()
-    cells, _ = ac.split_sweep(g, REF_ALPHAS, 9, horizon=600, warmup=60, seeds=[0])
+    cells, _ = ac.split_sweep(ref_config(horizon=600, warmup=60), 9, seeds=[0])
     model = ac.make_model(REF_ALPHAS, max_m=9)
     for cell in cells:
         alloc = ac.water_fill(model, cell.n_s)
@@ -123,8 +126,7 @@ def test_split_sweep_bounds_recorded():
 
 def test_phase_comparison_shape_and_bound_row():
     rows = ac.phase_comparison(
-        ref_graph(), REF_ALPHAS, 7, (3, 14),
-        horizon=800, warmup=80, seeds=[0, 1], random_draws=2, phase_seed=5,
+        ref_config(horizon=800, warmup=80), (3, 14), seeds=[0, 1], random_draws=2, phase_seed=5,
     )
     strategies = [r.strategy for r in rows]
     assert strategies == [

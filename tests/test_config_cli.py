@@ -185,8 +185,14 @@ def test_bad_values_are_rejected():
         ("allocation = waterfill\nn_s = 10",
          "allocation = explicit\nn_s = 9\nm = 1, 1, 1, 2, 1, 2, 2",
          r"\[sensing\] n_s: 9 but m sums to 10"),
+        ("n_c = 14", "n_c = 99", r"\[conveyors\] n_c: 99 outside 1..14"),
+        ("n_c = 14", "n_c = 0", r"\[conveyors\] n_c: 0 outside 1..14"),
+        ("seeds = 1, 2", "seeds = 1, 2\n\n[phases]\nn_c_values = 3, 15",
+         r"\[phases\] n_c_values: 15 outside 1..14"),
+        ("seeds = 1, 2", "seeds = 1, 2\n\n[phases]\nn_c_values = 3\nrandom_draws = -3",
+         r"\[phases\] random_draws: must be >= 0, got -3"),
     ],
-    ids=["alphas", "m", "n_s"],
+    ids=["alphas", "m", "n_s", "n_c", "n_c_zero", "n_c_values", "random_draws"],
 )
 def test_fields_that_disagree_are_named(old, new, message):
     with pytest.raises(ac.ConfigError, match=message):
@@ -381,6 +387,34 @@ def test_cli_walk_rejects_alphas_of_the_wrong_length(tmp_path, capsys):
     code, out, err = run_cli(capsys, "walk", "--config", path)
     assert code == 1 and out == ""
     assert "[sensing] alphas" in err
+
+
+def test_cli_phases_uses_the_configured_allocation(tmp_path, capsys):
+    text = (
+        BASE_CONFIG.replace("allocation = waterfill", "allocation = uniform")
+        .replace("horizon = 1500", "horizon = 300")
+        + "\n[phases]\nn_c_values = 14\nrandom_draws = 0\n"
+    )
+    path = write_config(tmp_path, text)
+    code, bound_out, _ = run_cli(capsys, "bound", "--config", path)
+    assert code == 0
+    network = bound_out.splitlines()[-1]
+    assert network == "network,10.1429"
+    code, out, _ = run_cli(capsys, "phases", "--config", path)
+    assert code == 0
+    assert out.splitlines()[-1] == "bound,," + network.split(",")[1] + ",0"
+
+
+def test_cli_sweep_honours_max_m(tmp_path, capsys):
+    text = (
+        BASE_CONFIG.replace("n_s = 10", "n_s = 7\nmax_m = 1")
+        .replace("horizon = 1500", "horizon = 300")
+        + "\n[sweep]\ntotal = 10\n"
+    )
+    path = write_config(tmp_path, text)
+    code, out, err = run_cli(capsys, "sweep", "--config", path)
+    assert code == 1 and out == ""
+    assert "max_m" in err
 
 
 def test_cli_phases(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agecourier as ac
 from agecourier.sensing_alloc import (
@@ -148,16 +150,39 @@ def test_uniform_alloc_spreads_leftovers_low():
     assert ac.uniform_alloc(model, 7).m == (1,) * 7
 
 
-def test_greedy_matches_brute_force_on_random_instances():
-    rng = np.random.default_rng(41)
-    for _ in range(60):
-        k = int(rng.integers(1, 5))
-        alphas = tuple(float(a) for a in rng.uniform(1.0, 10.0, size=k))
-        n_s = int(rng.integers(k, k + 7))
-        model = ac.make_model(alphas, max_m=n_s)
-        greedy = ac.water_fill(model, n_s)
-        brute = ac.brute_force_alloc(model, n_s)
-        assert greedy.total == brute.total == n_s
-        assert abs(
-            ac.allocation_objective(model, greedy) - ac.allocation_objective(model, brute)
-        ) <= 1e-9
+@st.composite
+def _allocation_instances(draw):
+    """(model, n_s) with a cap that may bind: a parametric model, or a convex
+    table whose per-node benefits are integers that never increase."""
+    k = draw(st.integers(1, 4))
+    n_s = draw(st.integers(k, k + 6))
+    max_m = draw(st.integers(1, n_s + 1))
+    if draw(st.booleans()):
+        alphas = draw(st.lists(st.floats(1.0, 10.0), min_size=k, max_size=k))
+        return ac.make_model(alphas, max_m=max_m), n_s
+    rows = []
+    for _ in range(k):
+        benefits = draw(st.lists(st.integers(0, 5), min_size=max_m - 1, max_size=max_m - 1))
+        benefits.sort(reverse=True)
+        floor = draw(st.integers(1, 5))
+        rows.append([floor + sum(benefits[j:]) for j in range(max_m)])
+    return ac.model_from_mu_table(rows), n_s
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_allocation_instances())
+def test_greedy_matches_brute_force_on_random_instances(instance):
+    model, n_s = instance
+    if n_s > model.node_count * model.max_m:
+        with pytest.raises(MaxMExceeded):
+            ac.water_fill(model, n_s)
+        with pytest.raises(MaxMExceeded):
+            ac.brute_force_alloc(model, n_s)
+        return
+    greedy = ac.water_fill(model, n_s)
+    brute = ac.brute_force_alloc(model, n_s)
+    assert greedy.total == brute.total == n_s
+    assert max(greedy.m) <= model.max_m
+    assert abs(
+        ac.allocation_objective(model, greedy) - ac.allocation_objective(model, brute)
+    ) <= 1e-9

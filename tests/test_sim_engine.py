@@ -124,6 +124,14 @@ def test_energy_params_validation():
         ac.EnergyParams(b_max=5.0, e_move=1.0, r_chg=0.0)
 
 
+@pytest.mark.parametrize("field", ["b_max", "e_move", "r_chg"])
+def test_energy_params_reject_nan(field):
+    # a NaN compares false both ways, so each check must be written to fail on it
+    params = {"b_max": 12.0, "e_move": 2.0, "r_chg": 2.0, field: float("nan")}
+    with pytest.raises(ConfigInvalid, match=field):
+        ac.EnergyParams(**params)
+
+
 def test_battery_must_cover_deepest_return():
     cfg = ref_config(energy=ac.EnergyParams(b_max=5.0, e_move=2.0, r_chg=2.0))
     with pytest.raises(BatteryTooSmall):
