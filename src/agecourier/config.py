@@ -12,7 +12,7 @@ import configparser
 import io
 from dataclasses import dataclass
 
-from .sim_engine import EnergyParams
+from .sim_engine import ConfigInvalid, EnergyParams
 
 ALLOCATION_STRATEGIES = ("waterfill", "uniform", "explicit")
 PHASE_STRATEGIES = ("uniform", "clustered", "random")
@@ -129,6 +129,10 @@ def parse_config(text: str) -> ExperimentConfig:
             _fail("sensing", "m", f"got {len(m)} entries for {k} non-base nodes")
         if n_s is not None and sum(m) != n_s:
             _fail("sensing", "n_s", f"{n_s} but m sums to {sum(m)}")
+    if max_m is not None and max_m < 1:
+        _fail("sensing", "max_m", f"must be >= 1, got {max_m}")
+    if max_m is not None and n_s is not None and n_s > k * max_m:
+        _fail("sensing", "n_s", f"{n_s} robots exceed {k} non-base nodes at max_m={max_m}")
 
     phase_strategy = _get(cp, "conveyors", "phases", str)
     if phase_strategy not in PHASE_STRATEGIES:
@@ -149,15 +153,26 @@ def parse_config(text: str) -> ExperimentConfig:
 
     energy = None
     if cp.has_section("energy"):
-        energy = EnergyParams(
-            b_max=_get(cp, "energy", "b_max", float),
-            e_move=_get(cp, "energy", "e_move", float),
-            r_chg=_get(cp, "energy", "r_chg", float),
-        )
+        try:
+            energy = EnergyParams(
+                b_max=_get(cp, "energy", "b_max", float),
+                e_move=_get(cp, "energy", "e_move", float),
+                r_chg=_get(cp, "energy", "r_chg", float),
+            )
+        except ConfigInvalid as exc:  # its message reads "<field> must be ..."
+            key, _, why = str(exc).partition(" ")
+            _fail("energy", key, why)
 
     sweep_total = None
     if cp.has_section("sweep"):
         sweep_total = _get(cp, "sweep", "total", int)
+        # every split keeps one conveyor, so it senses with up to total - 1 robots
+        if max_m is not None and sweep_total - 1 > k * max_m:
+            _fail(
+                "sweep", "total",
+                f"{sweep_total} leaves up to {sweep_total - 1} sensing robots, more than "
+                f"{k} non-base nodes hold at max_m={max_m}",
+            )
 
     n_c_values = None
     random_draws = 5

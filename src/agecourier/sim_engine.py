@@ -15,21 +15,26 @@ Within every slot t the event order is fixed:
 Under this order a sample generated at slot g and picked up by a conveyor
 departing baseward in the g -> g+1 transition reaches the base at g + depth.
 
-One engine serves every run. Conveyor motion never depends on sensing, so a
-backward earliest-arrival DP over the conveyor trajectory gives each sample's
-first delivery slot, and a vectorized replay of the generation processes turns
-those into the delivery log and exact ages. `run` takes the DP over a few walk
-periods once per schedule (motion repeats every period); `run_energy` takes it
-over the horizon. The literal per-slot stepper stays as the reference; the
-tests assert bit-identical results across trees, phases, and batteries.
+One engine serves every run. Conveyor motion never depends on sensing, and it
+is periodic: a conveyor's next move depends only on its mode, position,
+battery and walk residue, so from some slot t0 on its motion repeats.
+Unconstrained motion repeats every walk period L from slot 0; battery runs
+step each conveyor only until its state repeats. A backward earliest-arrival
+DP solves one fleet period to a fixed point, then the prefix before t0, and
+gives each sample's first delivery slot; a vectorized replay of the
+generation processes turns those into the delivery log and exact ages. A
+fleet with no cycle inside the horizon is solved over its first H slots. The
+literal per-slot stepper stays as the reference; the tests assert
+bit-identical results across trees, phases, and batteries.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import count, islice
+from itertools import count
 
 import numpy as np
 
@@ -198,9 +203,7 @@ def run(cfg: SimConfig, engine: str = "table") -> SimResult:
     if cfg.energy is not None:
         raise ConfigInvalid("config carries energy parameters; use run_energy")
     if engine == "table":
-        L = cfg.walk.length
-        delay = _transport_delay_table(cfg.walk.sequence, cfg.phase_set.phases)
-        return _replay(cfg, lambda node, gens: gens + delay[node][gens % L])
+        return _replay(cfg, _walk_arrivals(cfg.walk.sequence, cfg.phase_set.phases).deliver)
     if engine == "stepper":
         return _run_stepper(cfg)
     raise ConfigInvalid(f"unknown engine {engine!r}")
@@ -226,13 +229,8 @@ def run_energy(cfg: SimConfig) -> SimResult:
             f"at e_move={cfg.energy.e_move}"
         )
     stats = [[0] * len(cfg.phase_set.phases) for _ in range(4)]
-    trajectory = list(islice(_fleet_positions(cfg, stats), cfg.horizon))
-    times, arrive = _earliest_arrival(trajectory, cfg.graph.node_count)
-    return _replay(
-        cfg,
-        lambda node, gens: arrive[node][np.searchsorted(times[node], gens)],
-        _energy_trace(stats),
-    )
+    arrivals = _battery_arrivals(cfg, stats)
+    return _replay(cfg, arrivals.deliver, _energy_trace(stats))
 
 
 def _node_probs(model: SensingModel, alloc: SensingAllocation) -> list[float]:
@@ -243,25 +241,25 @@ def _node_probs(model: SensingModel, alloc: SensingAllocation) -> list[float]:
 # conveyor motion, shared by both engines
 # ---------------------------------------------------------------------------
 
-def _fleet_positions(cfg: SimConfig, stats):
-    """Yield every conveyor's position for slots 0, 1, 2, ... as one tuple
-    per slot, moving under cfg.energy. stats holds four per-conveyor counter
-    lists in ConveyorEnergyStats order (recharges, charge, hold and return
-    slots). Unconstrained motion is the zero move cost case: every hop is
-    affordable and no conveyor starts docked.
+def _motion(cfg: SimConfig, stats):
+    """Every conveyor's slot-0 state and the one-slot move rule under cfg.energy.
+
+    A state is [mode, position, battery]. step(c, state, nxt) moves conveyor
+    c's state on by one slot, given its nominal walk position nxt in the new
+    slot, and counts that slot in stats: four per-conveyor counter lists in
+    ConveyorEnergyStats order (recharges, charge, hold and return slots).
+    Unconstrained motion is the zero move cost case: every hop is affordable
+    and no conveyor starts docked.
     """
     energy = cfg.energy or EnergyParams(b_max=1.0, e_move=0.0, r_chg=1.0)
-    L = cfg.walk.length
-    w = cfg.walk.sequence[:L]
-    phases = cfg.phase_set.phases
-    pos = [w[phi % L] for phi in phases]
     b_max, e_move, r_chg = energy.b_max, energy.e_move, energy.r_chg
     recharges, charge_slots, hold_slots, return_slots = stats
     depth = cfg.tree.depth
     par = [0] * cfg.graph.node_count
     for i, p in cfg.tree.parent.items():
         par[i] = p
-    state = [_FOLLOW] * len(phases)
+    w = cfg.walk.sequence
+    phases = cfg.phase_set.phases
     # Initial charge levels are staggered: each conveyor draws a level
     # uniformly in [0, b_max) from the base-node stream (the base never
     # senses, so this collides with no sensing stream).  A conveyor whose
@@ -273,47 +271,95 @@ def _fleet_positions(cfg: SimConfig, stats):
     # because every conveyor advances through the same deterministic
     # deplete/return/charge/rejoin map.
     battery = (b_max * node_stream(cfg.seed, BASE).random(len(phases))).tolist()
-    for c, b0 in enumerate(battery):
-        if b0 < e_move * (depth[pos[c]] + 1.0):
-            pos[c] = BASE
-            state[c] = _CHARGE
-    yield tuple(pos)
+    states = []
+    for phi, b0 in zip(phases, battery):
+        p = w[phi % cfg.walk.length]
+        states.append([_CHARGE, BASE, b0] if b0 < e_move * (depth[p] + 1.0) else [_FOLLOW, p, b0])
+
+    def step(c: int, s: list, nxt: int) -> None:
+        mode = s[0]
+        if mode == _FOLLOW:
+            if s[2] - e_move >= e_move * depth[nxt]:
+                s[1] = nxt
+                s[2] -= e_move
+                return
+            mode = _RETURN
+        if mode == _RETURN:
+            p = s[1]
+            if p != BASE:
+                p = par[p]
+                s[0] = _CHARGE if p == BASE else _RETURN
+                s[1] = p
+                s[2] -= e_move
+                return_slots[c] += 1
+                return
+            mode = _CHARGE
+        if mode == _CHARGE:
+            charge_slots[c] += 1
+            b = s[2] + r_chg
+            if b < b_max:
+                s[0] = _CHARGE
+                s[2] = b
+                return
+            s[2] = b_max
+            recharges[c] += 1
+        # holding at the base until the nominal position aligns
+        if nxt == BASE:
+            s[0] = _FOLLOW
+        else:
+            s[0] = _HOLD
+            hold_slots[c] += 1
+
+    return states, step
+
+
+def _fleet_positions(cfg: SimConfig, stats):
+    """Yield every conveyor's position for slots 0, 1, 2, ... as one tuple
+    per slot, stepping the whole fleet through every slot (see `_motion`)."""
+    states, step = _motion(cfg, stats)
+    L = cfg.walk.length
+    w = cfg.walk.sequence
+    phases = cfg.phase_set.phases
+    yield tuple(s[1] for s in states)
     for t in count(1):
         for c, phi in enumerate(phases):
-            st = state[c]
-            if st == _FOLLOW:
-                nxt = w[(t + phi) % L]
-                if battery[c] - e_move >= e_move * depth[nxt]:
-                    pos[c] = nxt
-                    battery[c] -= e_move
-                    continue
-                st = _RETURN
-            if st == _RETURN:
-                p = pos[c]
-                if p != BASE:
-                    p = par[p]
-                    pos[c] = p
-                    battery[c] -= e_move
-                    return_slots[c] += 1
-                    state[c] = _CHARGE if p == BASE else _RETURN
-                    continue
-                st = _CHARGE
-            if st == _CHARGE:
-                charge_slots[c] += 1
-                b = battery[c] + r_chg
-                if b < b_max:
-                    battery[c] = b
-                    state[c] = _CHARGE
-                    continue
-                battery[c] = b_max
-                recharges[c] += 1
-            # holding at the base until the nominal position aligns
-            if w[(t + phi) % L] == BASE:
-                state[c] = _FOLLOW
-            else:
-                state[c] = _HOLD
-                hold_slots[c] += 1
-        yield tuple(pos)
+            step(c, states[c], w[(t + phi) % L])
+        yield tuple(s[1] for s in states)
+
+
+def _orbit(c: int, s: list, step, w, phi: int, horizon: int, stats):
+    """Step conveyor c from its slot-0 state s until the state repeats or the
+    horizon ends; return (positions, t0, period).
+
+    The next move depends only on the state and the walk residue. The state
+    is compared at multiples of the walk period L, where the residue is always
+    phi, so a repeat between slots t0 < t means the motion from t0 on repeats
+    every period = t - t0 slots. stats then gets the whole remaining cycles'
+    counts, and the partial last cycle is stepped, so it covers slots
+    1..horizon-1 as the stepper's does. positions runs from slot 0 to slot t.
+    With no repeat, positions covers the horizon and the period is the
+    horizon itself, which no fleet cycle fits in.
+    """
+    L = len(w) - 1
+    positions = [s[1]]
+    seen = {tuple(s): (0, [0] * 4)}
+    for t in range(1, horizon):
+        step(c, s, w[(t + phi) % L])
+        positions.append(s[1])
+        if t % L:
+            continue
+        counts = [col[c] for col in stats]
+        t0, before = seen.setdefault(tuple(s), (t, counts))
+        if t0 == t:
+            continue
+        period = t - t0
+        cycles, rest = divmod(horizon - 1 - t, period)
+        for col, n, n0 in zip(stats, counts, before):
+            col[c] += cycles * (n - n0)
+        for u in range(t + 1, t + 1 + rest):
+            step(c, s, w[(u + phi) % L])
+        return positions, t0, period
+    return positions, 0, horizon
 
 
 def _energy_trace(stats) -> tuple[ConveyorEnergyStats, ...]:
@@ -448,27 +494,52 @@ def _run_stepper(cfg: SimConfig) -> SimResult:
 
 
 # ---------------------------------------------------------------------------
-# fast engine: earliest-arrival DP over the conveyor trajectory, then replay
+# fast engine: periodic earliest-arrival DP over the conveyor motion, then replay
 # ---------------------------------------------------------------------------
 
-def _earliest_arrival(trajectory, node_count: int):
-    """X(v, t): first base delivery of a sample held in v's cache after the
-    gossip step of slot t, given every conveyor's position per slot.
+_NEVER = 2**62  # "never delivered"; a shift by P * k < 2**31 stays inside int64
+
+
+@dataclass(frozen=True)
+class _Arrivals:
+    """X(v, g), the first base delivery of a sample held in v's cache after
+    the gossip step of slot g, for every slot g of a motion that repeats every
+    `period` slots from slot `t0` on.
+
+    prefix[v] holds v's change lists over [0, t0), closed by X(v, t0); delay
+    holds X(v, s) - s for one period of slots s, at column s mod period.
+    """
+
+    t0: int
+    period: int
+    prefix: list[tuple[np.ndarray, np.ndarray]]
+    delay: np.ndarray
+
+    def deliver(self, node: int, gens: np.ndarray) -> np.ndarray:
+        """X(node, g) for the ascending generation slots gens."""
+        d = gens + self.delay[node][gens % self.period]
+        n = np.searchsorted(gens, self.t0)  # generations before t0 read the prefix
+        times, arrive = self.prefix[node]
+        d[:n] = arrive[np.searchsorted(times, gens[:n])]
+        return d
+
+
+def _backward(trajectory, x: list[int], lo: int, hi: int):
+    """Lower x from X(., hi) to X(., lo) through slots hi-1 down to lo.
 
     X(v, t) = min(X(v, t+1), C(c, t)) over conveyors c at non-base v in slot
     t, with C(c, t) = t+1 if c is at the base in slot t+1, else
     X(pos(c, t+1), t+1). X(v, .) only drops at conveyor visits, so it comes
-    back as per-node change lists, not an H x n array:
-    X(v, g) = arrive[v][np.searchsorted(times[v], g)], where len(trajectory)
-    means undelivered. The recurrence gives X(v, t) <= X(v, t+1): X(v, .)
-    never decreases, so each arrive[v] is strictly increasing and a later
-    sample never reaches the base before an earlier one.
+    back per node as change lists, not an H x n array: the slots in [lo, hi)
+    where it drops and its values there, in time order, closed by X(v, hi).
+    The recurrence gives X(v, t) <= X(v, t+1): X(v, .) never decreases, so
+    each value list is strictly increasing and a later sample never reaches
+    the base before an earlier one.
     """
-    T = len(trajectory)
-    x = [T] * node_count  # X(., t+1) while slot t is processed
-    rev_times = [array("q") for _ in range(node_count)]
-    rev_arrive = [array("q") for _ in range(node_count)]
-    for t in range(T - 2, -1, -1):
+    end = list(x)
+    rev_times = [array("q") for _ in x]
+    rev_arrive = [array("q") for _ in x]
+    for t in range(hi - 1, lo - 1, -1):
         t1 = t + 1
         # read every X(., t1) before this slot lowers any of them
         pairs = zip(trajectory[t], trajectory[t1])
@@ -478,31 +549,74 @@ def _earliest_arrival(trajectory, node_count: int):
                 x[v] = a
                 rev_times[v].append(t)
                 rev_arrive[v].append(a)
-    times = [np.array(r[::-1], dtype=np.int64) for r in rev_times]
-    arrive = [np.append(np.array(r[::-1], dtype=np.int64), T) for r in rev_arrive]
-    return times, arrive
+    return [
+        (np.array(ts[::-1], dtype=np.int64), np.append(np.array(ar[::-1], dtype=np.int64), e))
+        for ts, ar, e in zip(rev_times, rev_arrive, end)
+    ]
+
+
+def _arrivals(trajectory, t0: int, node_count: int) -> _Arrivals:
+    """Solve X over a trajectory whose rows t0..T are one period P = T - t0
+    of the motion (row T repeats row t0), so X(v, T) = X(v, t0) + P.
+
+    The pass over the period starts from "never delivered" and repeats until
+    X(., t0) stops changing. Each pass lowers X by the routes that wrap once
+    more, so the first pass that changes nothing has reached the exact
+    fixed point, including nodes that no conveyor serves in the cycle (they
+    stay at _NEVER). One more pass covers the prefix [0, t0). P = 0 means the
+    motion has no cycle: nothing held in the last row is ever delivered.
+    """
+    period = len(trajectory) - 1 - t0
+    x = [_NEVER] * node_count
+    while True:
+        before = x
+        x = [min(a + period, _NEVER) for a in before]
+        cycle = _backward(trajectory, x, t0, t0 + period)
+        if x == before:
+            break
+    period = max(period, 1)  # no cycle: the last row stands for every later slot
+    slots = np.arange(t0, t0 + period)
+    delay = np.empty((node_count, period), dtype=np.int64)
+    delay[:, slots % period] = [a[np.searchsorted(ts, slots)] - slots for ts, a in cycle]
+    delay.setflags(write=False)
+    return _Arrivals(t0, period, _backward(trajectory, x, 0, t0), delay)
 
 
 @lru_cache(maxsize=128)
-def _transport_delay_table(walk_seq: tuple[int, ...], phases: tuple[int, ...]) -> np.ndarray:
-    """delay[i, r]: slots from a sample's generation at node i on slot residue
-    r until its first base delivery, under maximal gossip spread.
-
-    Unconstrained motion repeats every walk period L, so the arrival DP over
-    L + 3L + 3 slots gives every residue with a 3L + 3 slot allowance for the
-    trip. The array is read-only because the cache shares it.
-    """
+def _walk_arrivals(walk_seq: tuple[int, ...], phases: tuple[int, ...]) -> _Arrivals:
+    """Unconstrained motion repeats every walk period L from slot 0: the
+    t0 = 0, P = L case. The cache shares the result, so its table is
+    read-only."""
     L = len(walk_seq) - 1
-    T = L + 3 * L + 3
-    trajectory = [tuple(walk_seq[(t + phi) % L] for phi in phases) for t in range(T)]
-    times, arrive = _earliest_arrival(trajectory, L // 2 + 1)
-    r = np.arange(L)
-    first = np.array([a[np.searchsorted(ts, r)] for ts, a in zip(times, arrive)])
-    if first[1:].max() >= T:
-        raise AssertionError("transport table failed to converge")
-    delay = first - r
-    delay.setflags(write=False)
-    return delay
+    trajectory = [[walk_seq[(t + phi) % L] for phi in phases] for t in range(L + 1)]
+    return _arrivals(trajectory, 0, L // 2 + 1)
+
+
+def _battery_arrivals(cfg: SimConfig, stats) -> _Arrivals:
+    """Battery-limited motion, with each conveyor stepped only until its
+    state repeats (see `_orbit`); stats gets the energy counters.
+
+    The fleet repeats from t0 = the latest conveyor prefix with P = the lcm
+    of the conveyor periods. If some conveyor does not repeat inside the
+    horizon, or t0 + P reaches it, the trajectory is the first H slots with
+    no cycle.
+    """
+    states, step = _motion(cfg, stats)
+    horizon = cfg.horizon
+    orbits = [
+        _orbit(c, s, step, cfg.walk.sequence, phi, horizon, stats)
+        for c, (s, phi) in enumerate(zip(states, cfg.phase_set.phases))
+    ]
+    t0 = max(start for _, start, _ in orbits)
+    period = math.lcm(*(period for _, _, period in orbits))
+    if t0 + period >= horizon:
+        t0, period = horizon - 1, 0
+    slots = np.arange(t0 + period + 1)
+    columns = [
+        np.asarray(positions)[np.where(slots < start, slots, start + (slots - start) % p)]
+        for positions, start, p in orbits
+    ]
+    return _arrivals(np.column_stack(columns).tolist(), t0, cfg.graph.node_count)
 
 
 def _replay(cfg: SimConfig, deliver, energy_trace=None) -> SimResult:
@@ -512,7 +626,7 @@ def _replay(cfg: SimConfig, deliver, energy_trace=None) -> SimResult:
     sample arriving in each slot.
 
     Deliveries never overtake: deliver is nondecreasing in the generation
-    slot (X(v, .) never decreases, see `_earliest_arrival`). So the delivered
+    slot (X(v, .) never decreases, see `_backward`). So the delivered
     samples are a prefix of gens already in delivery order, and the last of
     each run of equal delivery slots strictly refreshes the base copy; no
     sort or refresh filter is needed.

@@ -93,6 +93,9 @@ def _experiment_configs(draw):
         n_s = draw(st.sampled_from([None, sum(m)]))
     else:
         n_s = draw(st.integers(k, 4 * k))
+    sweep_total = draw(st.none() | st.integers(n, 4 * n))
+    # the cap must hold n_s robots, and every sweep split's total - 1
+    fewest = -(-max(n_s or 0, (sweep_total or 1) - 1) // k)
     phase_strategy = draw(st.sampled_from(PHASE_STRATEGIES))
     horizon = draw(st.integers(2, 10**6))
     energy = None
@@ -108,7 +111,7 @@ def _experiment_configs(draw):
         allocation=allocation,
         n_s=n_s,
         m=m,
-        max_m=draw(st.none() | st.integers(1, 20)),
+        max_m=draw(st.none() | st.integers(fewest, 20)),
         phase_strategy=phase_strategy,
         n_c=draw(st.integers(1, 2 * k)),
         phase_seed=draw(st.integers(0, 2**20)),
@@ -116,7 +119,7 @@ def _experiment_configs(draw):
         warmup=draw(st.integers(0, horizon - 1)),
         seeds=tuple(draw(st.lists(st.integers(0, 2**20), min_size=1, max_size=4))),
         energy=energy,
-        sweep_total=draw(st.none() | st.integers(n, 4 * n)),
+        sweep_total=sweep_total,
         phases_n_c_values=None if n_c_values is None else tuple(n_c_values),
         phases_random_draws=5 if n_c_values is None else draw(st.integers(0, 6)),
         out_csv=draw(st.none() | _paths),
@@ -191,12 +194,34 @@ def test_bad_values_are_rejected():
          r"\[phases\] n_c_values: 15 outside 1..14"),
         ("seeds = 1, 2", "seeds = 1, 2\n\n[phases]\nn_c_values = 3\nrandom_draws = -3",
          r"\[phases\] random_draws: must be >= 0, got -3"),
+        ("n_s = 10", "n_s = 10\nmax_m = 0", r"\[sensing\] max_m: must be >= 1, got 0"),
+        ("n_s = 10", "n_s = 8\nmax_m = 1",
+         r"\[sensing\] n_s: 8 robots exceed 7 non-base nodes at max_m=1"),
+        ("n_s = 10", "n_s = 7\nmax_m = 1\n\n[sweep]\ntotal = 10",
+         r"\[sweep\] total: 10 leaves up to 9 sensing robots, more than 7 non-base nodes "
+         r"hold at max_m=1"),
     ],
-    ids=["alphas", "m", "n_s", "n_c", "n_c_zero", "n_c_values", "random_draws"],
+    ids=["alphas", "m", "n_s", "n_c", "n_c_zero", "n_c_values", "random_draws",
+         "max_m", "n_s_over_max_m", "sweep_total_over_max_m"],
 )
 def test_fields_that_disagree_are_named(old, new, message):
     with pytest.raises(ac.ConfigError, match=message):
         ac.parse_config(BASE_CONFIG.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("b_max", "0", r"\[energy\] b_max: must be > 0, got 0.0"),
+        ("e_move", "-1", r"\[energy\] e_move: must be >= 0, got -1.0"),
+        ("r_chg", "nan", r"\[energy\] r_chg: must be > 0, got nan"),
+    ],
+)
+def test_energy_errors_name_their_field(field, value, message):
+    values = {"b_max": "12", "e_move": "1", "r_chg": "2", field: value}
+    text = BASE_CONFIG + "\n[energy]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+    with pytest.raises(ac.ConfigError, match=message):
+        ac.parse_config(text)
 
 
 def test_random_phases_require_seed():

@@ -2,7 +2,6 @@
 event-log reconstruction, and the battery state machine."""
 
 import dataclasses
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -16,13 +15,14 @@ from agecourier.sim_engine import (
     ConfigInvalid,
     InvalidProbability,
     UnsortedLog,
-    _earliest_arrival,
+    _battery_arrivals,
     _fleet_positions,
     _run_stepper,
-    _transport_delay_table,
+    _walk_arrivals,
 )
 
 from _support import (
+    REF_L,
     REF_WALK,
     checked_run,
     checked_run_energy,
@@ -420,7 +420,8 @@ def _random_instances(draw):
             e_move=e_move,
             r_chg=draw(st.floats(0.25, 5.0)),
         )
-    horizon = draw(st.integers(20, 600))
+    # battery runs reach past their fleet cycle at long horizons; short ones stop before it
+    horizon = draw(st.integers(20, 600 if energy is None else 3000))
     return ac.SimConfig(
         graph=g,
         phase_set=ac.PhaseSet(tuple(sorted(phases)), L),
@@ -442,18 +443,101 @@ def test_arrival_dp_equals_stepper_property(cfg):
         _assert_matches_stepper(cfg)
 
 
+def _arrivals_of(cfg: ac.SimConfig):
+    if cfg.energy is None:
+        return _walk_arrivals(cfg.walk.sequence, cfg.phase_set.phases)
+    return _battery_arrivals(cfg, [[0] * len(cfg.phase_set.phases) for _ in range(4)])
+
+
+def _fleet_cycle(cfg: ac.SimConfig):
+    """(t0, P) of a battery fleet's cycle, or None when the run has no cycle
+    inside its horizon and solves the first H slots instead."""
+    arrivals = _arrivals_of(cfg)
+    if arrivals.t0 + arrivals.period >= cfg.horizon:
+        return None
+    return arrivals.t0, arrivals.period
+
+
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(_random_instances())
 def test_deliveries_never_overtake_property(cfg):
     # a later sample never reaches the base before an earlier one; the replay
     # relies on this instead of sorting and filtering for refreshes
-    if cfg.energy is None:
-        L = cfg.walk.length
-        delay = _transport_delay_table(cfg.walk.sequence, cfg.phase_set.phases)
-        g = np.arange(3 * L)
-        assert np.all(np.diff(g + delay[1:, g % L], axis=1) >= 0)
-    else:
-        stats = [[0] * len(cfg.phase_set.phases) for _ in range(4)]
-        trajectory = list(islice(_fleet_positions(cfg, stats), cfg.horizon))
-        _, arrive = _earliest_arrival(trajectory, cfg.graph.node_count)
-        assert all(np.all(np.diff(a) > 0) for a in arrive)
+    arrivals = _arrivals_of(cfg)
+    t0, period = arrivals.t0, arrivals.period
+    g = np.arange(t0 + 3 * period)
+    for v in range(1, cfg.graph.node_count):
+        x = arrivals.deliver(v, g)
+        assert np.all(np.diff(x) >= 0)
+        # across the period wrap: X(v, t0 + P - 1) <= X(v, t0) + P = X(v, t0 + P)
+        assert x[t0 + period - 1] <= x[t0] + period == x[t0 + period]
+        times, arrive = arrivals.prefix[v]
+        assert np.all(np.diff(times) > 0) and np.all(np.diff(arrive) > 0)
+
+
+def test_random_instances_reach_both_battery_paths():
+    paths = set()
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(_random_instances())
+    def collect(cfg):
+        if cfg.energy is not None:
+            paths.add(_fleet_cycle(cfg) is not None)
+
+    collect()
+    assert paths == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# battery fleet cycles: each named case against the stepper oracle
+# ---------------------------------------------------------------------------
+
+def test_node_unserved_after_the_prefix_matches_stepper():
+    cfg = ac.SimConfig(
+        graph=ac.build_graph(3, [(0, 1), (1, 2)]),
+        phase_set=ac.PhaseSet((0,), 4),
+        model=ac.make_model((2.0, 3.0), max_m=1),
+        alloc=ac.SensingAllocation((1, 1)),
+        horizon=20000,
+        warmup=0,
+        seed=15,
+        energy=ac.EnergyParams(b_max=2.0, e_move=1.0, r_chg=0.5),
+    )
+    t0, _ = _fleet_cycle(cfg)
+    log = _assert_matches_stepper(cfg).delivery_log
+    assert np.any(log.origin == 1)
+    assert not np.any(log.delivered[log.origin == 2] >= t0)
+
+
+def test_fleet_period_beyond_the_horizon_matches_stepper():
+    # some conveyors repeat inside 200 slots and some do not: the lcm of their
+    # periods (a conveyor that never repeats counts the horizon) exceeds it
+    cfg = trend_config(b_max=40.0, seed=0, horizon=200, warmup=20)
+    assert _fleet_cycle(cfg) is None
+    assert _fleet_cycle(dataclasses.replace(cfg, horizon=400)) is not None
+    _assert_matches_stepper(cfg)
+
+
+def test_depletion_after_the_horizon_matches_stepper():
+    cfg = ref_config(
+        n_c=4, horizon=3000, seed=6, energy=ac.EnergyParams(b_max=1.0, e_move=1e-4, r_chg=0.5)
+    )
+    assert _fleet_cycle(cfg) is None
+    res = _assert_matches_stepper(cfg)
+    assert all(s.return_slots == s.charge_slots == 0 for s in res.energy_trace)
+
+
+def test_free_moves_repeat_with_the_walk_from_slot_zero():
+    cfg = ref_config(
+        n_c=5, horizon=2000, seed=6, energy=ac.EnergyParams(b_max=5.0, e_move=0.0, r_chg=1.0)
+    )
+    assert _fleet_cycle(cfg) == (0, REF_L)
+    _assert_matches_stepper(cfg)
+
+
+def test_docked_start_cycle_matches_stepper():
+    cfg = ref_config(
+        horizon=2000, seed=3, energy=ac.EnergyParams(b_max=12.0, e_move=2.0, r_chg=2.0)
+    )
+    assert _fleet_cycle(cfg) is not None
+    _assert_matches_stepper(cfg)
