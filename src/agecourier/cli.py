@@ -25,6 +25,7 @@ import dataclasses
 import io
 import json
 import sys
+from itertools import chain
 
 from . import __version__
 from .analysis import lower_bound, mean_std, phase_comparison, seed_runs, split_sweep
@@ -206,26 +207,32 @@ def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
     return 0
 
 
+_TRACE_EVENT = (
+    '{"origin": %d, "sensing_start": %d, "generated": %d, "delivered": %d, '
+    '"became_freshest": %s}\n'
+)
+_TRACE_BLOCK = 4096  # events formatted per write
+
+
 def _write_trace(path: str, log: DeliveryLog, seed: int) -> None:
     """One JSON object per delivery event, in delivery order, for the first seed.
 
     Each line is exactly json.dumps of the event's dict (keys in column order,
-    default separators), written straight from the log's columns.
+    default separators), formatted from the log's columns a block at a time.
     """
-    columns = zip(
-        log.origin.tolist(),
-        log.sensing_start.tolist(),
-        log.generated.tolist(),
-        log.delivered.tolist(),
-        log.became_freshest.tolist(),
-    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps({"version": __version__, "seed": seed}) + "\n")
-        fh.writelines(
-            '{"origin": %d, "sensing_start": %d, "generated": %d, "delivered": %d, '
-            '"became_freshest": %s}\n' % (o, s, g, d, "true" if f else "false")
-            for o, s, g, d, f in columns
-        )
+        for lo in range(0, len(log), _TRACE_BLOCK):
+            block = slice(lo, lo + _TRACE_BLOCK)
+            flags = [("false", "true")[f] for f in log.became_freshest[block].tolist()]
+            columns = (
+                log.origin[block].tolist(),
+                log.sensing_start[block].tolist(),
+                log.generated[block].tolist(),
+                log.delivered[block].tolist(),
+                flags,
+            )
+            fh.write(_TRACE_EVENT * len(flags) % tuple(chain.from_iterable(zip(*columns))))
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_path: str | None) -> int:

@@ -4,12 +4,13 @@ import json
 import runpy
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agecourier as ac
-from agecourier.cli import _write_trace, main
+from agecourier.cli import _TRACE_BLOCK, _write_trace, main
 from agecourier.config import ALLOCATION_STRATEGIES, PHASE_STRATEGIES
 
 from _support import REF_WATERFILL_10, checked_run, ref_config
@@ -355,6 +356,28 @@ def test_trace_lines_are_json_dumps_of_each_event(tmp_path):
     ]
     assert len(events) > 2 and not events[1]["became_freshest"]
     assert lines[1:-1] == [json.dumps(ev) for ev in events]
+
+
+def test_trace_writer_across_block_boundaries(tmp_path):
+    n = 2 * _TRACE_BLOCK + 3
+    rng = np.random.default_rng(5)
+    gen = np.arange(n) * 3
+    log = ac.DeliveryLog(
+        origin=rng.integers(1, 40, n),
+        sensing_start=gen - rng.integers(0, 3, n),
+        generated=gen,
+        delivered=gen + rng.integers(1, 9, n),
+        became_freshest=rng.random(n) < 0.5,
+    )
+    trace = tmp_path / "trace.ndjson"
+    _write_trace(str(trace), log, 3)
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + n
+    names = ("origin", "sensing_start", "generated", "delivered", "became_freshest")
+    for i, line in enumerate(lines[1:]):
+        event = {name: getattr(log, name)[i].item() for name in names}
+        assert line == json.dumps(event)
+    assert 0 < log.became_freshest.sum() < n
 
 
 def test_cli_seed_override_and_byte_identical_reruns(tmp_path, capsys):

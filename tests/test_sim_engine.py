@@ -2,6 +2,7 @@
 event-log reconstruction, and the battery state machine."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agecourier as ac
+from agecourier import sim_engine
 from agecourier.sim_engine import (
     BASE,
     BatteryTooSmall,
     ConfigInvalid,
     InvalidProbability,
     UnsortedLog,
+    _NEVER,
     _battery_arrivals,
     _fleet_positions,
     _run_stepper,
@@ -48,6 +51,14 @@ def test_generation_mask_matches_stream_and_probability():
     assert not np.array_equal(mask, other_seed)
     with pytest.raises(InvalidProbability):
         ac.generation_mask(7, 2, 0.0, 10)
+
+
+@pytest.mark.parametrize("horizon", [3 * 16384 + 7, 16384, 5000, 1])
+def test_generation_mask_drawn_in_blocks_equals_one_draw(horizon):
+    assert sim_engine._DRAW_BLOCK == 16384
+    for q in (0.05, 0.3, 0.999, 1.0):
+        one_draw = ac.node_stream(11, 3).random(horizon) < q
+        assert np.array_equal(ac.generation_mask(11, 3, q, horizon), one_draw)
 
 
 def test_node_streams_are_independent_and_stable():
@@ -185,6 +196,29 @@ def test_engines_bit_identical_on_random_instances():
             seed=int(rng.integers(1 << 20)),
         )
         _assert_identical(checked_run(cfg, engine="table"), checked_run(cfg, engine="stepper"))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ref_config(n_c=3, horizon=3000, warmup=100, seed=2),
+        trend_config(b_max=30.0, seed=1, horizon=3000, warmup=100),
+    ],
+    ids=["reference", "battery"],
+)
+def test_worker_count_cannot_change_results(cfg, monkeypatch):
+    # one worker, then four that switch threads as often as the interpreter allows
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 4):
+            monkeypatch.setattr(sim_engine, "_cpu_count", lambda: cpus)
+            results.append(checked_run(cfg) if cfg.energy is None else checked_run_energy(cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_identical(*results)
+    assert len(results[0].delivery_log) > 0
 
 
 def test_same_seed_reproducible_and_seeds_differ():
@@ -458,21 +492,43 @@ def _fleet_cycle(cfg: ac.SimConfig):
     return arrivals.t0, arrivals.period
 
 
+def _arrival_slots(arrivals, v: int, g: np.ndarray) -> np.ndarray:
+    """X(v, g) slot by slot, read straight from the prefix change lists and
+    the per-residue delay table."""
+    times, arrive = arrivals.prefix[v]
+    x = g + arrivals.delay[v][g % arrivals.period]
+    early = g < arrivals.t0
+    x[early] = arrive[np.searchsorted(times, g[early])]
+    return x
+
+
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(_random_instances())
 def test_deliveries_never_overtake_property(cfg):
-    # a later sample never reaches the base before an earlier one; the replay
-    # relies on this instead of sorting and filtering for refreshes
+    # a later sample never reaches the base before an earlier one, and the
+    # replay takes one sample per pickup: the slots where X rises
     arrivals = _arrivals_of(cfg)
     t0, period = arrivals.t0, arrivals.period
-    g = np.arange(t0 + 3 * period)
+    g = np.arange(t0 + 3 * period + 1)
     for v in range(1, cfg.graph.node_count):
-        x = arrivals.deliver(v, g)
+        x = _arrival_slots(arrivals, v, g)
         assert np.all(np.diff(x) >= 0)
         # across the period wrap: X(v, t0 + P - 1) <= X(v, t0) + P = X(v, t0 + P)
         assert x[t0 + period - 1] <= x[t0] + period == x[t0 + period]
         times, arrive = arrivals.prefix[v]
         assert np.all(np.diff(times) > 0) and np.all(np.diff(arrive) > 0)
+
+        # pickups are exactly the rising slots, across the prefix/cycle seam
+        # and two period wraps: X(b) < horizon <= X(g[-1]) only for b < g[-1],
+        # and the horizon one below cuts the last wrap short
+        rising = np.flatnonzero(np.diff(x) > 0)
+        end = min(int(x[-1]), _NEVER)
+        for horizon in (end, end - 1):
+            b, xb = arrivals.pickups(v, horizon)
+            picked = rising[x[rising] < horizon]
+            assert np.array_equal(b, picked) and np.array_equal(xb, x[picked])
+            assert np.all(np.diff(b) > 0) and np.all(np.diff(xb) > 0)
+            assert np.all(xb >= b + cfg.tree.depth[v])
 
 
 def test_random_instances_reach_both_battery_paths():
