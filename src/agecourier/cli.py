@@ -25,7 +25,8 @@ import dataclasses
 import io
 import json
 import sys
-from itertools import chain
+
+import numpy as np
 
 from . import __version__
 from .analysis import lower_bound, mean_std, phase_comparison, seed_runs, split_sweep
@@ -182,14 +183,15 @@ def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
     s = _scenario(cfg)
     bound = lower_bound(s.model, s.alloc, bfs_distances(s.graph))
 
-    # per-seed ages; only the first seed's delivery log is traced, so only it is kept
+    # per-seed ages; a run builds its delivery log only when it is read, and only
+    # the first seed's log is read, to be traced
     ages: list[tuple[dict[int, float], float]] = []
     first_log = None
     for res in seed_runs(s, cfg.seeds):
         ages.append((res.per_node_aoi, res.network_aoi))
-        if first_log is None:
+        if first_log is None and cfg.out_trace is not None:
             first_log = res.delivery_log
-        del res  # release this seed's log before the next seed runs
+        del res  # release this seed's delivery columns before the next seed runs
 
     rows = []
     for node in sorted(bound.per_node_bound):
@@ -207,9 +209,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
     return 0
 
 
-_TRACE_EVENT = (
-    '{"origin": %d, "sensing_start": %d, "generated": %d, "delivered": %d, '
-    '"became_freshest": %s}\n'
+_TRACE_EVENT = tuple(  # one line template per became_freshest value
+    '{"origin": %%d, "sensing_start": %%d, "generated": %%d, "delivered": %%d, '
+    '"became_freshest": %s}\n' % flag
+    for flag in ("false", "true")
 )
 _TRACE_BLOCK = 4096  # events formatted per write
 
@@ -218,21 +221,18 @@ def _write_trace(path: str, log: DeliveryLog, seed: int) -> None:
     """One JSON object per delivery event, in delivery order, for the first seed.
 
     Each line is exactly json.dumps of the event's dict (keys in column order,
-    default separators), formatted from the log's columns a block at a time.
+    default separators). A block of events is formatted at once: the templates
+    of its flags joined into one format string, filled from its four integer
+    columns interleaved event by event.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps({"version": __version__, "seed": seed}) + "\n")
         for lo in range(0, len(log), _TRACE_BLOCK):
             block = slice(lo, lo + _TRACE_BLOCK)
-            flags = [("false", "true")[f] for f in log.became_freshest[block].tolist()]
-            columns = (
-                log.origin[block].tolist(),
-                log.sensing_start[block].tolist(),
-                log.generated[block].tolist(),
-                log.delivered[block].tolist(),
-                flags,
-            )
-            fh.write(_TRACE_EVENT * len(flags) % tuple(chain.from_iterable(zip(*columns))))
+            template = "".join([_TRACE_EVENT[f] for f in log.became_freshest[block].tolist()])
+            columns = (log.origin, log.sensing_start, log.generated, log.delivered)
+            values = np.stack([c[block] for c in columns], axis=1).ravel().tolist()
+            fh.write(template % tuple(values))
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_path: str | None) -> int:

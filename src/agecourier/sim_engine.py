@@ -24,8 +24,9 @@ DP solves one fleet period to a fixed point, then the prefix before t0, and
 gives each slot's first delivery slot. Conveyors pick up the freshest sample,
 so only the last sample generated before each pickup can reach the base: the
 replay works per pickup, not per sample, and turns each node's generation
-process into its delivery log and exact ages, one node per worker thread on
-every available CPU. A fleet with no cycle inside the horizon is solved over
+process into its delivery columns and exact ages, on one plain thread per
+available CPU. The columns are merged into the delivery log only when the
+log is first read. A fleet with no cycle inside the horizon is solved over
 its first H slots. The literal per-slot stepper stays as the reference; the
 tests assert bit-identical results across trees, phases, and batteries.
 """
@@ -34,9 +35,11 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from array import array
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 from itertools import count
 
 import numpy as np
@@ -129,10 +132,22 @@ class ConveyorEnergyStats:
 
 @dataclass(frozen=True)
 class SimResult:
+    """Exact ages of one run, and its base deliveries as `delivery_log`.
+
+    Most callers read only the ages, so `_make_log` builds the log when it is
+    first read, and the columns it holds are released then.
+    """
+
     per_node_aoi: dict[int, float]
     network_aoi: float
-    delivery_log: DeliveryLog
     energy_trace: tuple[ConveyorEnergyStats, ...] | None = None
+    _make_log: Callable[[], DeliveryLog] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def delivery_log(self) -> DeliveryLog:
+        log = self._make_log()
+        object.__setattr__(self, "_make_log", None)
+        return log
 
 
 @dataclass(frozen=True)
@@ -503,8 +518,8 @@ def _run_stepper(cfg: SimConfig) -> SimResult:
     return SimResult(
         per_node_aoi=per_node,
         network_aoi=network,
-        delivery_log=log,
         energy_trace=None if cfg.energy is None else _energy_trace(stats),
+        _make_log=lambda: log,
     )
 
 
@@ -655,6 +670,32 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _thread_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items] on `threads` plain threads, the calling one
+    included: thread j takes every threads-th item from item j. Results come
+    back in item order; the first exception raised in any thread is re-raised
+    once every thread has stopped."""
+    out = [None] * len(items)
+    errors = []
+
+    def work(j: int) -> None:
+        try:
+            for i in range(j, len(items), threads):
+                out[i] = fn(items[i])
+        except BaseException as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=(j,)) for j in range(1, threads)]
+    for w in workers:
+        w.start()
+    work(0)
+    for w in workers:
+        w.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
 def _replay(cfg: SimConfig, arrivals: _Arrivals, energy_trace=None) -> SimResult:
     """Run the per-node generation processes through the arrivals' pickups.
     The base logs the freshest sample arriving in each slot.
@@ -666,12 +707,11 @@ def _replay(cfg: SimConfig, arrivals: _Arrivals, energy_trace=None) -> SimResult
     decreases (see `_backward`), so pickups come in delivery order, each
     delivery strictly refreshes the base copy, and a sample that an earlier
     pickup already took is the only repeat; no sort or refresh filter is
-    needed. Nodes draw from their own streams, so they replay on a thread pool
-    as large as the CPUs available and are collected in node order.
+    needed. Nodes draw from their own streams, so they replay on one plain
+    thread per available CPU and are collected in node order. The result
+    keeps each node's delivery columns and merges them into the delivery log
+    only when the log is first read (see `_merge_log`).
     """
-    # imported here: it adds about 9 ms to the CLI's start-up, and only runs use it
-    from concurrent.futures import ThreadPoolExecutor
-
     k = cfg.graph.node_count - 1
     horizon, warmup = cfg.horizon, cfg.warmup
     qs = _node_probs(cfg.model, cfg.alloc)
@@ -694,20 +734,27 @@ def _replay(cfg: SimConfig, arrivals: _Arrivals, energy_trace=None) -> SimResult
         contrib = (lo + seg_hi - 1) * width // 2 - seg_s * width
         return int(contrib.sum()), dk, gk, sk
 
-    with ThreadPoolExecutor(_cpu_count()) as pool:
-        replays = list(pool.map(replay_node, range(1, k + 1)))
+    replays = _thread_map(replay_node, range(1, k + 1), min(_cpu_count(), k))
 
     sums, dels, gens, starts = zip(*replays)
     n_slots = horizon - warmup
     per_node = {node: total / n_slots for node, total in enumerate(sums, 1)}
     network = sum(per_node.values()) / k
-    org = np.repeat(np.arange(1, k + 1), [d.size for d in dels])
+    return SimResult(
+        per_node_aoi=per_node,
+        network_aoi=network,
+        energy_trace=energy_trace,
+        _make_log=partial(_merge_log, dels, gens, starts),
+    )
+
+
+def _merge_log(dels, gens, starts) -> DeliveryLog:
+    """Merge the per-node delivery, generation and sensing-start columns of
+    nodes 1..k into one log in slot order, origins ascending within a slot."""
+    org = np.repeat(np.arange(1, len(dels) + 1), [d.size for d in dels])
     del_, gen, srt = np.concatenate(dels), np.concatenate(gens), np.concatenate(starts)
     idx = np.argsort(del_, kind="stable")  # slot order; origins stay ascending within a slot
-    log = DeliveryLog(org[idx], srt[idx], gen[idx], del_[idx], np.ones(idx.size, dtype=bool))
-    return SimResult(
-        per_node_aoi=per_node, network_aoi=network, delivery_log=log, energy_trace=energy_trace
-    )
+    return DeliveryLog(org[idx], srt[idx], gen[idx], del_[idx], np.ones(idx.size, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agecourier as ac
+from agecourier import sim_engine
 from agecourier.cli import _TRACE_BLOCK, _write_trace, main
 from agecourier.config import ALLOCATION_STRATEGIES, PHASE_STRATEGIES
 
@@ -339,6 +340,28 @@ def test_cli_simulate_and_trace(tmp_path, capsys):
         assert rec["delivered"] >= rec["generated"] >= rec["sensing_start"]
 
 
+def test_delivery_log_is_built_only_when_read(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class CountingLog(ac.DeliveryLog):
+        def __init__(self, *columns):
+            built.append(self)
+            super().__init__(*columns)
+
+    monkeypatch.setattr(sim_engine, "DeliveryLog", CountingLog)
+    ac.split_sweep(ref_config(horizon=600, warmup=60), 9, seeds=[0, 1])
+    assert built == []
+    assert run_cli(capsys, "simulate", "--config", write_config(tmp_path))[0] == 0
+    assert built == []
+    text = BASE_CONFIG + f"\n[output]\ntrace = {tmp_path / 'trace.ndjson'}\n"
+    assert run_cli(capsys, "simulate", "--config", write_config(tmp_path, text))[0] == 0
+    assert len(built) == 1  # the first of two seeds, for the trace
+
+    res = ac.run(ref_config(horizon=300, warmup=10))
+    assert res.delivery_log is res.delivery_log
+    assert len(built) == 2
+
+
 def test_trace_lines_are_json_dumps_of_each_event(tmp_path):
     log = checked_run(ref_config(horizon=300, warmup=10, seed=8)).delivery_log
     fresh = log.became_freshest.copy()
@@ -362,22 +385,27 @@ def test_trace_writer_across_block_boundaries(tmp_path):
     n = 2 * _TRACE_BLOCK + 3
     rng = np.random.default_rng(5)
     gen = np.arange(n) * 3
-    log = ac.DeliveryLog(
-        origin=rng.integers(1, 40, n),
-        sensing_start=gen - rng.integers(0, 3, n),
-        generated=gen,
-        delivered=gen + rng.integers(1, 9, n),
-        became_freshest=rng.random(n) < 0.5,
-    )
-    trace = tmp_path / "trace.ndjson"
-    _write_trace(str(trace), log, 3)
-    lines = trace.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 1 + n
-    names = ("origin", "sensing_start", "generated", "delivered", "became_freshest")
-    for i, line in enumerate(lines[1:]):
-        event = {name: getattr(log, name)[i].item() for name in names}
-        assert line == json.dumps(event)
-    assert 0 < log.became_freshest.sum() < n
+    origin = rng.integers(1, 40, n)
+    sensing_start = gen - rng.integers(0, 3, n)
+    delivered = gen + rng.integers(1, 9, n)
+    # random flags, then one all-true and one all-false block: one template fills each
+    for fresh in (rng.random(n) < 0.5, np.arange(n) < _TRACE_BLOCK):
+        log = ac.DeliveryLog(
+            origin=origin,
+            sensing_start=sensing_start,
+            generated=gen,
+            delivered=delivered,
+            became_freshest=fresh,
+        )
+        trace = tmp_path / "trace.ndjson"
+        _write_trace(str(trace), log, 3)
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + n
+        names = ("origin", "sensing_start", "generated", "delivered", "became_freshest")
+        for i, line in enumerate(lines[1:]):
+            event = {name: getattr(log, name)[i].item() for name in names}
+            assert line == json.dumps(event)
+        assert 0 < log.became_freshest.sum() < n
 
 
 def test_cli_seed_override_and_byte_identical_reruns(tmp_path, capsys):

@@ -3,6 +3,7 @@ event-log reconstruction, and the battery state machine."""
 
 import dataclasses
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -219,6 +220,24 @@ def test_worker_count_cannot_change_results(cfg, monkeypatch):
         sys.setswitchinterval(interval)
     _assert_identical(*results)
     assert len(results[0].delivery_log) > 0
+
+
+@pytest.mark.parametrize("failing", [1, 5], ids=["calling-thread", "worker"])
+def test_a_failing_node_fails_the_run_and_leaves_no_thread(failing, monkeypatch):
+    # three threads over seven nodes: node 1 replays on the calling thread, node 5 on a worker
+    real_mask = sim_engine.generation_mask
+
+    def mask(seed, node, q, horizon):
+        if node == failing:
+            raise RuntimeError(f"node {node} failed")
+        return real_mask(seed, node, q, horizon)
+
+    monkeypatch.setattr(sim_engine, "generation_mask", mask)
+    monkeypatch.setattr(sim_engine, "_cpu_count", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"node {failing} failed"):
+        ac.run(ref_config(horizon=300, warmup=10))
+    assert threading.active_count() == before
 
 
 def test_same_seed_reproducible_and_seeds_differ():
