@@ -24,7 +24,15 @@ from .conveyor_plan import (
 )
 from .graph_core import DistanceMap, bfs_distances
 from .sensing_alloc import SensingAllocation, SensingModel, mu, water_fill
-from .sim_engine import ConfigInvalid, SimConfig, SimResult, generation_mask, run, run_energy
+from .sim_engine import (
+    ConfigInvalid,
+    SimConfig,
+    SimResult,
+    generation_mask,
+    run,
+    run_energy,
+    shared_draws,
+)
 
 
 class DimensionMismatch(ValueError):
@@ -115,9 +123,7 @@ def seed_runs(cfg: SimConfig, seeds):
 
 
 def _network_mean_std(cfg: SimConfig, seeds) -> tuple[float, float]:
-    # map drops each result, with the delivery columns it holds, before the next run
-    # starts; a comprehension would keep one more alive. No delivery log is read here,
-    # so none is built
+    # no delivery log is read here, so none is built
     return mean_std(list(map(attrgetter("network_aoi"), seed_runs(cfg, seeds))))
 
 
@@ -129,7 +135,8 @@ def split_sweep(cfg: SimConfig, total: int, seeds) -> tuple[list[SweepCell], Swe
     asking for more conveyors than walk positions reuse the full phase set,
     and the cell records the effective count. Returns all cells plus the
     argmin cell (ties resolve to the larger n_s, favoring sensing once
-    conveying is saturated).
+    conveying is saturated). A split changes one node's allocation at a time,
+    so the runs share their generation processes (see `shared_draws`).
     """
     k = cfg.graph.node_count - 1
     if total < k + 1:
@@ -140,22 +147,24 @@ def split_sweep(cfg: SimConfig, total: int, seeds) -> tuple[list[SweepCell], Swe
 
     cells: list[SweepCell] = []
     best: SweepCell | None = None
-    for n_s in range(k, total):
-        n_c = total - n_s
-        n_c_eff = min(n_c, L)
-        split = replace(cfg, alloc=water_fill(cfg.model, n_s), phase_set=uniform_phases(L, n_c_eff))
-        mean, std = _network_mean_std(split, seeds)
-        cell = SweepCell(
-            n_s=n_s,
-            n_c=n_c,
-            n_c_effective=n_c_eff,
-            mean_aoi=mean,
-            std_aoi=std,
-            bound=lower_bound(cfg.model, split.alloc, dist).network_bound,
-        )
-        cells.append(cell)
-        if best is None or cell.mean_aoi <= best.mean_aoi:  # ties: larger n_s wins
-            best = cell
+    with shared_draws():
+        for n_s in range(k, total):
+            n_c = total - n_s
+            n_c_eff = min(n_c, L)
+            alloc = water_fill(cfg.model, n_s)
+            split = replace(cfg, alloc=alloc, phase_set=uniform_phases(L, n_c_eff))
+            mean, std = _network_mean_std(split, seeds)
+            cell = SweepCell(
+                n_s=n_s,
+                n_c=n_c,
+                n_c_effective=n_c_eff,
+                mean_aoi=mean,
+                std_aoi=std,
+                bound=lower_bound(cfg.model, alloc, dist).network_bound,
+            )
+            cells.append(cell)
+            if best is None or cell.mean_aoi <= best.mean_aoi:  # ties: larger n_s wins
+                best = cell
     return cells, best
 
 
@@ -166,20 +175,23 @@ def phase_comparison(
 
     For each n_c the table holds one row for the evenly spread schedule, one
     for the clustered convoy, and one per seeded random draw; a final row
-    carries the analytic floor of `cfg`'s allocation for reference.
+    carries the analytic floor of `cfg`'s allocation for reference. Only
+    the phase set changes, so every row's runs share their generation
+    processes (see `shared_draws`).
     """
     L = cfg.walk.length
     seeds = list(seeds)
 
     rows: list[PhaseRow] = []
-    for n_c in n_c_values:
-        schedules = [("uniform", uniform_phases(L, n_c))]
-        schedules.append(("clustered", clustered_phases(n_c, L)))
-        for j in range(random_draws):
-            schedules.append((f"random{j}", random_phases(n_c, L, phase_seed + j)))
-        for name, phases in schedules:
-            mean, std = _network_mean_std(replace(cfg, phase_set=phases), seeds)
-            rows.append(PhaseRow(strategy=name, n_c=n_c, mean_aoi=mean, std_aoi=std))
+    with shared_draws():
+        for n_c in n_c_values:
+            schedules = [("uniform", uniform_phases(L, n_c))]
+            schedules.append(("clustered", clustered_phases(n_c, L)))
+            for j in range(random_draws):
+                schedules.append((f"random{j}", random_phases(n_c, L, phase_seed + j)))
+            for name, phases in schedules:
+                mean, std = _network_mean_std(replace(cfg, phase_set=phases), seeds)
+                rows.append(PhaseRow(strategy=name, n_c=n_c, mean_aoi=mean, std_aoi=std))
     rows.append(
         PhaseRow(
             strategy="bound",

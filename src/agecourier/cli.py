@@ -191,7 +191,6 @@ def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
         ages.append((res.per_node_aoi, res.network_aoi))
         if first_log is None and cfg.out_trace is not None:
             first_log = res.delivery_log
-        del res  # release this seed's delivery columns before the next seed runs
 
     rows = []
     for node in sorted(bound.per_node_bound):
@@ -210,9 +209,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
 
 
 _TRACE_EVENT = tuple(  # one line template per became_freshest value
-    '{"origin": %%d, "sensing_start": %%d, "generated": %%d, "delivered": %%d, '
-    '"became_freshest": %s}\n' % flag
-    for flag in ("false", "true")
+    b'{"origin": %%d, "sensing_start": %%d, "generated": %%d, "delivered": %%d, '
+    b'"became_freshest": %s}\n' % flag
+    for flag in (b"false", b"true")
 )
 _TRACE_BLOCK = 4096  # events formatted per write
 
@@ -221,15 +220,15 @@ def _write_trace(path: str, log: DeliveryLog, seed: int) -> None:
     """One JSON object per delivery event, in delivery order, for the first seed.
 
     Each line is exactly json.dumps of the event's dict (keys in column order,
-    default separators). A block of events is formatted at once: the templates
-    of its flags joined into one format string, filled from its four integer
-    columns interleaved event by event.
+    default separators), written as ASCII bytes. A block of events is
+    formatted at once: the templates of its flags joined into one format
+    string, filled from its four integer columns interleaved event by event.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps({"version": __version__, "seed": seed}) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(json.dumps({"version": __version__, "seed": seed}).encode() + b"\n")
         for lo in range(0, len(log), _TRACE_BLOCK):
             block = slice(lo, lo + _TRACE_BLOCK)
-            template = "".join([_TRACE_EVENT[f] for f in log.became_freshest[block].tolist()])
+            template = b"".join([_TRACE_EVENT[f] for f in log.became_freshest[block].tolist()])
             columns = (log.origin, log.sensing_start, log.generated, log.delivered)
             values = np.stack([c[block] for c in columns], axis=1).ravel().tolist()
             fh.write(template % tuple(values))

@@ -24,11 +24,14 @@ DP solves one fleet period to a fixed point, then the prefix before t0, and
 gives each slot's first delivery slot. Conveyors pick up the freshest sample,
 so only the last sample generated before each pickup can reach the base: the
 replay works per pickup, not per sample, and turns each node's generation
-process into its delivery columns and exact ages, on one plain thread per
-available CPU. The columns are merged into the delivery log only when the
-log is first read. A fleet with no cycle inside the horizon is solved over
-its first H slots. The literal per-slot stepper stays as the reference; the
-tests assert bit-identical results across trees, phases, and batteries.
+process into its deliveries and exact ages, on one plain thread per
+available CPU. A result keeps no delivery columns: its log is replayed
+through the same per-node function when it is first read. Within
+`shared_draws`, every run reads each node's successes from one store, so a
+sweep draws each (seed, node, q, horizon) process once. A fleet with no cycle
+inside the horizon is solved over its first H slots. The literal per-slot
+stepper stays as the reference; the tests assert bit-identical results across
+trees, phases, and batteries.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ import os
 import threading
 from array import array
 from collections.abc import Callable
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import count
@@ -134,8 +139,9 @@ class ConveyorEnergyStats:
 class SimResult:
     """Exact ages of one run, and its base deliveries as `delivery_log`.
 
-    Most callers read only the ages, so `_make_log` builds the log when it is
-    first read, and the columns it holds are released then.
+    Most callers read only the ages, so the result holds no delivery columns:
+    `_make_log` replays the run's deliveries into the log when it is first
+    read, and is released then.
     """
 
     per_node_aoi: dict[int, float]
@@ -164,15 +170,15 @@ class SimConfig:
     seed: int
     energy: EnergyParams | None = None
 
-    @cached_property
+    @property
     def tree(self) -> ShortestPathTree:
         """Shortest-path tree of the graph, the conveyors' road network."""
-        return shortest_path_tree(self.graph)
+        return _tree_and_walk(self.graph)[0]
 
-    @cached_property
+    @property
     def walk(self) -> EulerWalk:
         """Closed Euler walk over the tree that every conveyor follows."""
-        return euler_walk(self.tree)
+        return _tree_and_walk(self.graph)[1]
 
     def validate(self) -> None:
         k = self.graph.node_count - 1
@@ -192,6 +198,13 @@ class SimConfig:
             raise ConfigInvalid(f"model covers {self.model.node_count} nodes, graph has {k}")
         if max(self.alloc.m) > self.model.max_m:
             raise ConfigInvalid("allocation exceeds the model's max_m")
+
+
+@lru_cache(maxsize=16)
+def _tree_and_walk(graph: Graph) -> tuple[ShortestPathTree, EulerWalk]:
+    """One tree and walk per graph, shared by every copy of a scenario."""
+    tree = shortest_path_tree(graph)
+    return tree, euler_walk(tree)
 
 
 def node_stream(seed: int, node: int) -> np.random.Generator:
@@ -221,6 +234,38 @@ def generation_mask(seed: int, node: int, q: float, horizon: int) -> np.ndarray:
         stream.random(out=u)
         np.less(u, q, out=mask[lo : lo + u.size])
     return mask
+
+
+# the draw store of the innermost `shared_draws` block, or None outside one
+_DRAWS: ContextVar[dict | None] = ContextVar("_DRAWS", default=None)
+
+
+@contextmanager
+def shared_draws():
+    """Within this block, runs read each node's generation process from one
+    store keyed by (seed, node, q, horizon), as the packed bits of its mask
+    (ceil(H / 8) bytes an entry); a missing entry is drawn and stored. A run
+    keeps the store it started with, so its log replays from it after the
+    block ends. The outer store comes back on exit."""
+    token = _DRAWS.set({})
+    try:
+        yield
+    finally:
+        _DRAWS.reset(token)
+
+
+def _successes(draws: dict | None, seed: int, node: int, q: float, horizon: int) -> np.ndarray:
+    """The slots where node's sensing succeeds, read from draws when given."""
+    if draws is None:
+        return np.flatnonzero(generation_mask(seed, node, q, horizon))
+    key = (seed, node, q, horizon)
+    packed = draws.get(key)
+    if packed is None:
+        mask = generation_mask(seed, node, q, horizon)
+        draws[key] = np.packbits(mask)
+        return np.flatnonzero(mask)
+    # unpacked bits are 0 or 1, so they read as bools, which nonzero scans fastest
+    return np.flatnonzero(np.unpackbits(packed, count=horizon).view(bool))
 
 
 def run(cfg: SimConfig, engine: str = "table") -> SimResult:
@@ -697,8 +742,42 @@ def _thread_map(fn, items, threads: int) -> list:
 
 
 def _replay(cfg: SimConfig, arrivals: _Arrivals, energy_trace=None) -> SimResult:
-    """Run the per-node generation processes through the arrivals' pickups.
-    The base logs the freshest sample arriving in each slot.
+    """Run the per-node generation processes through the arrivals' pickups
+    (see `_deliveries`) and sum each node's exact ages.
+
+    Nodes draw from their own streams, so they replay on one plain thread per
+    available CPU and are collected in node order. The result holds no
+    delivery columns: its log replays the same per-node deliveries, from the
+    draw store active now (see `shared_draws`), when it is first read.
+    """
+    k = cfg.graph.node_count - 1
+    horizon, warmup = cfg.horizon, cfg.warmup
+    deliveries = partial(_deliveries, cfg, arrivals, _DRAWS.get())
+
+    def age_sum(node: int) -> int:
+        # integer age sum over [warmup, horizon): piecewise t - s segments
+        dk, _, sk = deliveries(node)
+        seg_lo = np.concatenate(([0], dk))
+        seg_hi = np.append(dk, horizon)
+        seg_s = np.concatenate(([0], sk))
+        lo = np.maximum(seg_lo, warmup)
+        width = np.maximum(seg_hi - lo, 0)
+        return int(((lo + seg_hi - 1) * width // 2 - seg_s * width).sum())
+
+    sums = _thread_map(age_sum, range(1, k + 1), min(_cpu_count(), k))
+    n_slots = horizon - warmup
+    per_node = {node: total / n_slots for node, total in enumerate(sums, 1)}
+    network = sum(per_node.values()) / k
+    return SimResult(
+        per_node_aoi=per_node,
+        network_aoi=network,
+        energy_trace=energy_trace,
+        _make_log=partial(_merge_log, deliveries, k),
+    )
+
+
+def _deliveries(cfg: SimConfig, arrivals: _Arrivals, draws: dict | None, node: int):
+    """node's base deliveries as (delivery, generation, sensing start) slots.
 
     A conveyor picks up the freshest sample in a node's cache, so the one
     delivered at X(node, b) for a rising slot b (see `_Arrivals.pickups`) is
@@ -707,51 +786,23 @@ def _replay(cfg: SimConfig, arrivals: _Arrivals, energy_trace=None) -> SimResult
     decreases (see `_backward`), so pickups come in delivery order, each
     delivery strictly refreshes the base copy, and a sample that an earlier
     pickup already took is the only repeat; no sort or refresh filter is
-    needed. Nodes draw from their own streams, so they replay on one plain
-    thread per available CPU and are collected in node order. The result
-    keeps each node's delivery columns and merges them into the delivery log
-    only when the log is first read (see `_merge_log`).
+    needed.
     """
-    k = cfg.graph.node_count - 1
-    horizon, warmup = cfg.horizon, cfg.warmup
-    qs = _node_probs(cfg.model, cfg.alloc)
-
-    def replay_node(node: int):
-        gens = np.flatnonzero(generation_mask(cfg.seed, node, qs[node - 1], horizon))
-        b, dk = arrivals.pickups(node, horizon)
-        j = np.searchsorted(gens, b, "right") - 1  # the last sample at or before each pickup
-        new = np.diff(j, prepend=-1) > 0  # not taken by an earlier pickup
-        j, dk = j[new], dk[new]
-        gk = gens[j]
-        sk = np.where(j > 0, gens[j - 1] + 1, 0)  # sensing starts one past the previous sample
-
-        # integer age sum over [warmup, horizon): piecewise t - s segments
-        seg_lo = np.concatenate(([0], dk))
-        seg_hi = np.append(dk, horizon)
-        seg_s = np.concatenate(([0], sk))
-        lo = np.maximum(seg_lo, warmup)
-        width = np.maximum(seg_hi - lo, 0)
-        contrib = (lo + seg_hi - 1) * width // 2 - seg_s * width
-        return int(contrib.sum()), dk, gk, sk
-
-    replays = _thread_map(replay_node, range(1, k + 1), min(_cpu_count(), k))
-
-    sums, dels, gens, starts = zip(*replays)
-    n_slots = horizon - warmup
-    per_node = {node: total / n_slots for node, total in enumerate(sums, 1)}
-    network = sum(per_node.values()) / k
-    return SimResult(
-        per_node_aoi=per_node,
-        network_aoi=network,
-        energy_trace=energy_trace,
-        _make_log=partial(_merge_log, dels, gens, starts),
-    )
+    q = success_probability(cfg.model, node - 1, cfg.alloc.m[node - 1])
+    gens = _successes(draws, cfg.seed, node, q, cfg.horizon)
+    b, dk = arrivals.pickups(node, cfg.horizon)
+    j = np.searchsorted(gens, b, "right") - 1  # the last sample at or before each pickup
+    new = np.diff(j, prepend=-1) > 0  # not taken by an earlier pickup
+    j, dk = j[new], dk[new]
+    sk = np.where(j > 0, gens[j - 1] + 1, 0)  # sensing starts one past the previous sample
+    return dk, gens[j], sk
 
 
-def _merge_log(dels, gens, starts) -> DeliveryLog:
-    """Merge the per-node delivery, generation and sensing-start columns of
-    nodes 1..k into one log in slot order, origins ascending within a slot."""
-    org = np.repeat(np.arange(1, len(dels) + 1), [d.size for d in dels])
+def _merge_log(deliveries, k: int) -> DeliveryLog:
+    """Replay nodes 1..k's deliveries and merge them into one log in slot
+    order, origins ascending within a slot."""
+    dels, gens, starts = zip(*_thread_map(deliveries, range(1, k + 1), min(_cpu_count(), k)))
+    org = np.repeat(np.arange(1, k + 1), [d.size for d in dels])
     del_, gen, srt = np.concatenate(dels), np.concatenate(gens), np.concatenate(starts)
     idx = np.argsort(del_, kind="stable")  # slot order; origins stay ascending within a slot
     return DeliveryLog(org[idx], srt[idx], gen[idx], del_[idx], np.ones(idx.size, dtype=bool))
@@ -777,33 +828,38 @@ def aoi_from_event_log(
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"need 0 <= warmup < horizon, got {warmup}, {horizon}")
+    if 2 * horizon**2 >= 2**63:  # int64 ramp sums, as in SimConfig.validate
+        raise ValueError(f"horizon must be < 2**31, got {horizon}")
     fresh = log.became_freshest
     org, dlv, srt = log.origin[fresh], log.delivered[fresh], log.sensing_start[fresh]
     order = np.argsort(org, kind="stable")  # group by origin, log order within
     org, dlv, srt = org[order], dlv[order], srt[order]
     if origins is None:
         origins = np.unique(org).tolist()
-
-    n_slots = horizon - warmup
-    out: dict[int, float] = {}
+    origins = list(origins)
+    unsorted = set(org[1:][(org[1:] == org[:-1]) & (dlv[1:] <= dlv[:-1])].tolist())
     for node in origins:
-        lo, hi = np.searchsorted(org, (node, node + 1))
-        d = dlv[lo:hi]
-        s = srt[lo:hi]
-        if d.size and np.any(d[1:] <= d[:-1]):
+        if node in unsorted:
             raise UnsortedLog(f"events for origin {node} are not time-ordered")
-        total = 0
-        prev_d = 0
-        prev_s = 0
-        # closing sentinel covers the tail segment [last delivery, horizon)
-        for dj, sj in zip(d.tolist() + [horizon], s.tolist() + [0]):
-            lo = max(prev_d, warmup)
-            hi = min(dj, horizon)
-            if lo < hi:
-                width = hi - lo
-                # age ramp: starts at lo - prev_s, rises by one per slot
-                total += (lo - prev_s) * width + width * (width - 1) // 2
-            prev_d = dj
-            prev_s = sj
-        out[node] = total / n_slots
-    return out
+
+    # Each origin's segments: one ending at each of its events, then the tail
+    # [last delivery, horizon). Segment i of an origin whose events start at
+    # index a ends at event a + i and follows event a + i - 1 (none for i = 0).
+    nodes = np.asarray(origins, dtype=np.int64)
+    first_event = np.searchsorted(org, nodes)
+    events = np.searchsorted(org, nodes + 1) - first_event
+    n = events + 1
+    first = np.cumsum(n) - n  # each origin's first segment
+    step = np.arange(n.sum()) - np.repeat(first, n)
+    ev = np.repeat(first_event, n) + step
+    dlv, srt = np.append(dlv, 0), np.append(srt, 0)  # ev reaches one past the last event
+    end = np.where(step == np.repeat(events, n), horizon, dlv[ev])
+    prev_d = np.where(step > 0, dlv[ev - 1], 0)
+    prev_s = np.where(step > 0, srt[ev - 1], 0)
+    lo = np.maximum(prev_d, warmup)
+    width = np.maximum(np.minimum(end, horizon) - lo, 0)
+    # age ramp: starts at lo - prev_s, rises by one per slot
+    ramp = (lo - prev_s) * width + width * (width - 1) // 2
+    totals = np.add.reduceat(ramp, first).tolist() if nodes.size else []
+    n_slots = horizon - warmup
+    return {node: total / n_slots for node, total in zip(origins, totals)}

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 import agecourier as ac
+from agecourier.sim_engine import UnsortedLog
 
 # ---------------------------------------------------------------------------
 # The 8-node reference instance used throughout: a tree with arms
@@ -141,6 +142,45 @@ def _verify_invariants(cfg: ac.SimConfig, res: ac.SimResult) -> None:
                 "full coverage must deliver every sample in exactly its depth"
             )
             CHECK_STATS["full_coverage_equality_events"] += len(log)
+
+
+def aoi_from_event_log_loop(
+    log: ac.DeliveryLog, horizon: int, warmup: int = 0, origins=None
+) -> dict[int, float]:
+    """Reference for `ac.aoi_from_event_log`: the same ramp sums, one event
+    at a time in Python integers."""
+    if not 0 <= warmup < horizon:
+        raise ValueError(f"need 0 <= warmup < horizon, got {warmup}, {horizon}")
+    fresh = log.became_freshest
+    org, dlv, srt = log.origin[fresh], log.delivered[fresh], log.sensing_start[fresh]
+    order = np.argsort(org, kind="stable")  # group by origin, log order within
+    org, dlv, srt = org[order], dlv[order], srt[order]
+    if origins is None:
+        origins = np.unique(org).tolist()
+
+    n_slots = horizon - warmup
+    out: dict[int, float] = {}
+    for node in origins:
+        lo, hi = np.searchsorted(org, (node, node + 1))
+        d = dlv[lo:hi]
+        s = srt[lo:hi]
+        if d.size and np.any(d[1:] <= d[:-1]):
+            raise UnsortedLog(f"events for origin {node} are not time-ordered")
+        total = 0
+        prev_d = 0
+        prev_s = 0
+        # closing sentinel covers the tail segment [last delivery, horizon)
+        for dj, sj in zip(d.tolist() + [horizon], s.tolist() + [0]):
+            lo = max(prev_d, warmup)
+            hi = min(dj, horizon)
+            if lo < hi:
+                width = hi - lo
+                # age ramp: starts at lo - prev_s, rises by one per slot
+                total += (lo - prev_s) * width + width * (width - 1) // 2
+            prev_d = dj
+            prev_s = sj
+        out[node] = total / n_slots
+    return out
 
 
 def checked_run(cfg: ac.SimConfig, engine: str = "table") -> ac.SimResult:

@@ -1,5 +1,6 @@
 """Analytic floors, penalties, budget sweeps, and phase comparisons."""
 
+import contextlib
 import dataclasses
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import agecourier as ac
+from agecourier import analysis, sim_engine
 from agecourier.analysis import BudgetTooSmall, DimensionMismatch
 from agecourier.sim_engine import ConfigInvalid
 
@@ -144,6 +146,57 @@ def test_phase_comparison_shape_and_bound_row():
     # at full staffing every strategy degenerates to the same offset set
     full = [r for r in rows if r.n_c == 14]
     assert len({(r.mean_aoi, r.std_aoi) for r in full}) == 1
+
+
+@pytest.fixture
+def mask_calls(monkeypatch):
+    """Every (seed, node, q, horizon) that generation_mask draws, in call order."""
+    calls = []
+    real = sim_engine.generation_mask
+
+    def counting(seed, node, q, horizon):
+        calls.append((seed, node, q, horizon))
+        return real(seed, node, q, horizon)
+
+    monkeypatch.setattr(sim_engine, "generation_mask", counting)
+    return calls
+
+
+def _processes(cfg, allocs, seeds):
+    return {
+        (seed, node, ac.success_probability(cfg.model, node - 1, alloc.m[node - 1]), cfg.horizon)
+        for alloc in allocs
+        for seed in seeds
+        for node in range(1, cfg.graph.node_count)
+    }
+
+
+def test_sweeps_draw_each_generation_process_once(mask_calls):
+    cfg = ref_config(horizon=600, warmup=60)
+    seeds = [0, 1]
+    ac.split_sweep(cfg, 10, seeds)
+    allocs = [ac.water_fill(cfg.model, n_s) for n_s in (7, 8, 9)]
+    assert sorted(mask_calls) == sorted(_processes(cfg, allocs, seeds))
+    assert len(mask_calls) < 3 * len(seeds) * 7  # one new q per split
+
+    mask_calls.clear()
+    ac.phase_comparison(cfg, (2, 5), seeds, random_draws=2)
+    assert sorted(mask_calls) == sorted(_processes(cfg, [cfg.alloc], seeds))
+
+
+def test_shared_draws_leave_sweep_cells_unchanged(monkeypatch):
+    cfg = ref_config(horizon=600, warmup=60)
+    seeds = [0, 3]
+
+    def tables():
+        return (
+            ac.split_sweep(cfg, 10, seeds),
+            ac.phase_comparison(cfg, (2, 5), seeds, random_draws=2, phase_seed=4),
+        )
+
+    shared = tables()
+    monkeypatch.setattr(analysis, "shared_draws", contextlib.nullcontext)
+    assert tables() == shared
 
 
 def test_pickup_wait_matches_exact_residual_computation():

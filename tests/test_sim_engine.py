@@ -2,8 +2,10 @@
 event-log reconstruction, and the battery state machine."""
 
 import dataclasses
+import gc
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from agecourier.sim_engine import (
 from _support import (
     REF_L,
     REF_WALK,
+    aoi_from_event_log_loop,
     checked_run,
     checked_run_energy,
     random_tree_graph,
@@ -240,6 +243,69 @@ def test_a_failing_node_fails_the_run_and_leaves_no_thread(failing, monkeypatch)
     assert threading.active_count() == before
 
 
+def test_shared_draws_restore_the_outer_store():
+    assert sim_engine._DRAWS.get() is None
+    with sim_engine.shared_draws():
+        outer = sim_engine._DRAWS.get()
+        assert outer == {}
+        with sim_engine.shared_draws():
+            assert sim_engine._DRAWS.get() is not outer
+        assert sim_engine._DRAWS.get() is outer
+        with pytest.raises(RuntimeError, match="inside"):
+            with sim_engine.shared_draws():
+                raise RuntimeError("inside")
+        assert sim_engine._DRAWS.get() is outer
+    assert sim_engine._DRAWS.get() is None
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ref_config(n_c=3, horizon=1500, warmup=100, seed=3),
+        trend_config(b_max=30.0, seed=2, horizon=1500, warmup=100),
+    ],
+    ids=["reference", "battery"],
+)
+def test_a_log_read_after_shared_draws_replays_their_store(cfg, monkeypatch):
+    with sim_engine.shared_draws():
+        res = ac.run(cfg) if cfg.energy is None else ac.run_energy(cfg)
+    expected = _run_stepper(cfg)
+
+    def no_draw(*args):
+        raise AssertionError("the log drew a generation process again")
+
+    monkeypatch.setattr(sim_engine, "generation_mask", no_draw)
+    assert res.delivery_log == expected.delivery_log
+    assert res.per_node_aoi == expected.per_node_aoi
+
+
+def _reachable_arrays(root) -> dict[int, np.ndarray]:
+    """Arrays reachable from root through object references, not through
+    functions, types or modules (which reach every global)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack, arrays = set(), [root], {}
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return arrays
+
+
+def test_a_result_holds_no_delivery_arrays_until_its_log_is_read():
+    cfg = ref_config(n_c=3, horizon=1500, warmup=100)
+    res = ac.run(cfg)
+    arrivals = _walk_arrivals(cfg.walk.sequence, cfg.phase_set.phases)
+    held = _reachable_arrays(res)
+    # only the scenario's and the shared schedule's own arrays
+    assert held and held.keys() <= _reachable_arrays((cfg, arrivals)).keys()
+    log = res.delivery_log
+    assert id(log.delivered) in _reachable_arrays(res)
+
+
 def test_same_seed_reproducible_and_seeds_differ():
     cfg = ref_config(horizon=2000, warmup=100, seed=4)
     _assert_identical(checked_run(cfg), checked_run(cfg))
@@ -297,6 +363,47 @@ def test_event_log_respects_freshest_flag_and_order():
         ac.aoi_from_event_log(interleaved, horizon=8)
     with pytest.raises(ValueError):
         ac.aoi_from_event_log(fresh, horizon=5, warmup=5)
+
+
+@st.composite
+def _event_logs(draw):
+    """Random logs over origins 1..4, in delivery order or shuffled, with some
+    stale events, deliveries past the horizon, and a warmup cut."""
+    horizon = draw(st.integers(2, 60))
+    warmup = draw(st.integers(0, horizon - 1))
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 4),  # origin
+                st.integers(0, horizon),  # sensing start
+                st.integers(0, 8),  # generation, after the start
+                st.integers(0, 10),  # delivery, after generation
+                st.booleans(),  # became_freshest
+            ),
+            max_size=30,
+        )
+    )
+    rows = [(o, s, s + g, s + g + d, f) for o, s, g, d, f in events]
+    if draw(st.booleans()):
+        rows.sort(key=lambda r: r[3])
+    columns = [list(c) for c in zip(*rows)] if rows else [[]] * 5
+    log = ac.DeliveryLog(*columns)
+    origins = draw(st.one_of(st.none(), st.lists(st.integers(1, 6), unique=True)))
+    return log, horizon, warmup, origins
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_event_logs())
+def test_event_log_reconstruction_equals_the_event_loop_property(case):
+    # origins with no events, warmup cuts and unsorted logs, against the loop
+    log, horizon, warmup, origins = case
+    try:
+        expected = aoi_from_event_log_loop(log, horizon, warmup, origins)
+    except UnsortedLog as exc:
+        with pytest.raises(UnsortedLog, match=str(exc)):
+            ac.aoi_from_event_log(log, horizon, warmup, origins)
+        return
+    assert ac.aoi_from_event_log(log, horizon, warmup, origins) == expected
 
 
 def test_delivery_log_container_protocol():
