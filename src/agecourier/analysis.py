@@ -23,7 +23,7 @@ from .conveyor_plan import (
     uniform_phases,
 )
 from .graph_core import DistanceMap, bfs_distances
-from .sensing_alloc import SensingAllocation, SensingModel, mu, water_fill
+from .sensing_alloc import SensingAllocation, SensingModel, mu, success_probability, water_fill
 from .sim_engine import (
     ConfigInvalid,
     SimConfig,
@@ -206,9 +206,10 @@ def phase_comparison(
 def pickup_wait_mean(cfg: SimConfig) -> float:
     """Average wait from each simulated sensing completion to the next slot a
     conveyor departs its node toward the base (0 when one departs the same
-    slot), over all of [0, cfg.horizon) of seed cfg.seed with no warmup. Uses
-    the same per-node generation streams as the simulator. Waits follow the
+    slot), over [0, cfg.horizon) of seed cfg.seed with no warmup, from the
+    same generation streams and config checks as `run`. Waits follow the
     unconstrained walk, so a config with energy parameters is rejected."""
+    cfg.validate()
     if cfg.energy is not None:
         raise ConfigInvalid("pickup_wait_mean: energy-limited conveyors leave the walk")
     L = cfg.walk.length
@@ -217,7 +218,7 @@ def pickup_wait_mean(cfg: SimConfig) -> float:
         node = i + 1
         deps = baseward_departure_slots(cfg.walk, node, cfg.phase_set)
         wait_by_residue = [min((tau - r) % L for tau in deps) for r in range(L)]
-        q = cfg.model.q_table[i][cfg.alloc.m[i] - 1]
+        q = success_probability(cfg.model, i, cfg.alloc.m[i])
         gens = np.flatnonzero(generation_mask(cfg.seed, node, q, cfg.horizon))
         if gens.size:
             waits = np.asarray(wait_by_residue, dtype=np.int64)[gens % L]

@@ -40,7 +40,6 @@ class Graph:
 
     node_count: int
     edges: frozenset[tuple[int, int]]
-    base: int = BASE
 
     def adjacency(self) -> list[list[int]]:
         """Neighbor lists, sorted ascending for deterministic traversal."""

@@ -572,42 +572,37 @@ def _run_stepper(cfg: SimConfig) -> SimResult:
 # fast engine: periodic earliest-arrival DP over the conveyor motion, then replay
 # ---------------------------------------------------------------------------
 
-_NEVER = 2**62  # "never delivered"; a shift by P * k < 2**31 stays inside int64
+_NEVER = 2**62  # "never delivered"
 
 
 @dataclass(frozen=True)
 class _Arrivals:
     """X(v, g), the first base delivery of a sample held in v's cache after
-    the gossip step of slot g, for every slot g of a motion that repeats every
-    `period` slots from slot `t0` on.
-
-    prefix[v] holds v's change lists over [0, t0), closed by X(v, t0); delay
-    holds X(v, s) - s for one period of slots s, at column s mod period.
+    the gossip step of slot g, as v's pickups: the slots b where X(v, b) <
+    X(v, b + 1), with X(v, b); X(v, .) is constant in between. prefix[v] and
+    cycle[v] hold them in [0, t0) and in [t0, t0 + period) as two rows. The
+    motion repeats every period slots from t0 on (period 0: no cycle), so
+    X(v, g + period) = X(v, g) + period.
     """
 
     t0: int
     period: int
-    prefix: list[tuple[np.ndarray, np.ndarray]]
-    delay: np.ndarray
+    prefix: list[np.ndarray]
+    cycle: list[np.ndarray]
 
     def pickups(self, node: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        """The slots b where X(node, .) rises, X(node, b) < X(node, b + 1),
-        with X(node, b) there, for every X(node, b) < horizon, in slot order.
+        """node's pickup slots b with X(node, b) < horizon, and X(node, b)
+        there, in slot order: the prefix, then the cycle every period slots.
 
-        A sample in node's cache at a rising slot b is picked up for delivery
+        A sample in node's cache at a pickup slot b is picked up for delivery
         at X(node, b), and the samples of b + 1 wait for a later conveyor.
-        Before t0 these slots are the prefix change lists; from t0 on, the
-        rising slots of one period repeat every period slots.
         """
         times, arrive = self.prefix[node]
-        arrive = arrive[:-1]
+        b, xb = self.cycle[node]
         P = self.period
-        slots = np.arange(self.t0, self.t0 + P)
-        x = slots + self.delay[node][slots % P]
-        rise = x < np.append(x[1:], x[0] + P)  # X(t0 + P) = X(t0) + P
-        wraps = max(-(-(horizon - int(x[0])) // P), 0)  # periods with some X(b) < horizon
+        wraps = -(-(horizon - int(xb[0])) // P) if b.size else 0  # periods with some X(b) < horizon
         shift = P * np.arange(wraps)[:, None]
-        b, xb = (slots[rise] + shift).ravel(), (x[rise] + shift).ravel()
+        b, xb = (b + shift).ravel(), (xb + shift).ravel()
         early, late = arrive < horizon, xb < horizon
         return np.concatenate((times[early], b[late])), np.concatenate((arrive[early], xb[late]))
 
@@ -619,12 +614,11 @@ def _backward(trajectory, x: list[int], lo: int, hi: int):
     t, with C(c, t) = t+1 if c is at the base in slot t+1, else
     X(pos(c, t+1), t+1). X(v, .) only drops at conveyor visits, so it comes
     back per node as change lists, not an H x n array: the slots in [lo, hi)
-    where it drops and its values there, in time order, closed by X(v, hi).
-    The recurrence gives X(v, t) <= X(v, t+1): X(v, .) never decreases, so
-    each value list is strictly increasing and a later sample never reaches
-    the base before an earlier one.
+    where it drops and its values there, in time order: v's pickups (see
+    `_Arrivals`). The recurrence gives X(v, t) <= X(v, t+1): X(v, .) never
+    decreases, so each value list is strictly increasing and a later sample
+    never reaches the base before an earlier one.
     """
-    end = list(x)
     rev_times = [array("q") for _ in x]
     rev_arrive = [array("q") for _ in x]
     for t in range(hi - 1, lo - 1, -1):
@@ -637,15 +631,15 @@ def _backward(trajectory, x: list[int], lo: int, hi: int):
                 x[v] = a
                 rev_times[v].append(t)
                 rev_arrive[v].append(a)
-    return [
-        (np.array(ts[::-1], dtype=np.int64), np.append(np.array(ar[::-1], dtype=np.int64), e))
-        for ts, ar, e in zip(rev_times, rev_arrive, end)
-    ]
+    pickups = [np.array((t[::-1], a[::-1]), dtype=np.int64) for t, a in zip(rev_times, rev_arrive)]
+    for p in pickups:
+        p.setflags(write=False)  # `_walk_arrivals` shares them through its cache
+    return pickups
 
 
 def _arrivals(trajectory, t0: int, node_count: int) -> _Arrivals:
-    """Solve X over a trajectory whose rows t0..T are one period P = T - t0
-    of the motion (row T repeats row t0), so X(v, T) = X(v, t0) + P.
+    """The pickups of X over a trajectory whose rows t0..T are one period
+    P = T - t0 of the motion (row T repeats row t0): X(v, T) = X(v, t0) + P.
 
     The pass over the period starts from "never delivered" and repeats until
     X(., t0) stops changing. Each pass lowers X by the routes that wrap once
@@ -662,19 +656,14 @@ def _arrivals(trajectory, t0: int, node_count: int) -> _Arrivals:
         cycle = _backward(trajectory, x, t0, t0 + period)
         if x == before:
             break
-    period = max(period, 1)  # no cycle: the last row stands for every later slot
-    slots = np.arange(t0, t0 + period)
-    delay = np.empty((node_count, period), dtype=np.int64)
-    delay[:, slots % period] = [a[np.searchsorted(ts, slots)] - slots for ts, a in cycle]
-    delay.setflags(write=False)
-    return _Arrivals(t0, period, _backward(trajectory, x, 0, t0), delay)
+    return _Arrivals(t0, period, _backward(trajectory, x, 0, t0), cycle)
 
 
 @lru_cache(maxsize=128)
 def _walk_arrivals(walk_seq: tuple[int, ...], phases: tuple[int, ...]) -> _Arrivals:
     """Unconstrained motion repeats every walk period L from slot 0: the
-    t0 = 0, P = L case. The cache shares the result, so its table is
-    read-only."""
+    t0 = 0, P = L case. The cache shares the result, so its pickup arrays
+    are read-only."""
     L = len(walk_seq) - 1
     trajectory = [[walk_seq[(t + phi) % L] for phi in phases] for t in range(L + 1)]
     return _arrivals(trajectory, 0, L // 2 + 1)

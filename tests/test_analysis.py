@@ -218,6 +218,28 @@ def test_pickup_wait_rejects_energy_configs():
         ac.pickup_wait_mean(cfg)
 
 
+def test_pickup_wait_checks_its_scenario_like_run():
+    # a phase set built for another walk, and an allocation that misses a node
+    cfg = ac.SimConfig(
+        graph=ac.build_graph(4, [(0, 1), (1, 2), (2, 3)]),
+        phase_set=ac.PhaseSet((0,), 6),
+        model=ac.make_model((2.0, 3.0, 4.0), max_m=1),
+        alloc=ac.SensingAllocation((1, 1, 1)),
+        horizon=2000,
+        warmup=0,
+        seed=0,
+    )
+    assert ac.pickup_wait_mean(cfg) >= 0
+    for bad, match in (
+        (dataclasses.replace(cfg, phase_set=ac.PhaseSet((0,), 4)), "different walk length"),
+        (dataclasses.replace(cfg, alloc=ac.SensingAllocation((1, 1))), "covers 2 nodes"),
+    ):
+        with pytest.raises(ConfigInvalid, match=match):
+            ac.run(bad)
+        with pytest.raises(ConfigInvalid, match=match):
+            ac.pickup_wait_mean(bad)
+
+
 def test_residual_life_mean_is_exact_fraction():
     assert ac.residual_life_mean(ac.uniform_phases(14, 7)) == Fraction(1, 1)
     val = ac.residual_life_mean(ac.clustered_phases(3, 14))

@@ -26,7 +26,8 @@ def test_reference_distances_and_tree():
 def test_edges_are_canonical_and_frozen():
     g = ac.build_graph(3, [(1, 0), (2, 1)])
     assert g.edges == frozenset({(0, 1), (1, 2)})
-    assert g.base == 0
+    with pytest.raises(TypeError):
+        ac.Graph(node_count=3, edges=g.edges, base=2)  # the base is always node 0
     with pytest.raises(Exception):
         g.node_count = 5  # frozen dataclass
 

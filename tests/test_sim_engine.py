@@ -613,18 +613,28 @@ def _fleet_cycle(cfg: ac.SimConfig):
     """(t0, P) of a battery fleet's cycle, or None when the run has no cycle
     inside its horizon and solves the first H slots instead."""
     arrivals = _arrivals_of(cfg)
-    if arrivals.t0 + arrivals.period >= cfg.horizon:
+    if arrivals.period == 0:
         return None
     return arrivals.t0, arrivals.period
 
 
 def _arrival_slots(arrivals, v: int, g: np.ndarray) -> np.ndarray:
-    """X(v, g) slot by slot, read straight from the prefix change lists and
-    the per-residue delay table."""
+    """X(v, g) slot by slot, read straight from v's prefix and cycle lists:
+    X(v, g) is X at the first listed slot at or after g, and the cycle's
+    slots and values repeat every period slots, shifted by the period."""
+    t0, period = arrivals.t0, arrivals.period
+    b, xb = arrivals.cycle[v]
+    x = np.full(g.shape, _NEVER)  # no cycle: nothing held from t0 on is delivered
+    if period:
+        # past the period's last pickup, X is the next period's first; a node
+        # the cycle never serves stays "never delivered", shifted like the rest
+        k, r = np.divmod(np.maximum(g - t0, 0), period)
+        first = xb[0] if b.size else _NEVER
+        x = np.append(xb, first + period)[np.searchsorted(b, t0 + r)] + k * period
     times, arrive = arrivals.prefix[v]
-    x = g + arrivals.delay[v][g % arrivals.period]
-    early = g < arrivals.t0
-    x[early] = arrive[np.searchsorted(times, g[early])]
+    i = np.searchsorted(times, g)
+    early = i < times.size
+    x[early] = arrive[i[early]]
     return x
 
 
@@ -635,7 +645,7 @@ def test_deliveries_never_overtake_property(cfg):
     # replay takes one sample per pickup: the slots where X rises
     arrivals = _arrivals_of(cfg)
     t0, period = arrivals.t0, arrivals.period
-    g = np.arange(t0 + 3 * period + 1)
+    g = np.arange(t0 + 3 * max(period, 1) + 1)  # with no cycle, still 3 slots past t0
     for v in range(1, cfg.graph.node_count):
         x = _arrival_slots(arrivals, v, g)
         assert np.all(np.diff(x) >= 0)
