@@ -3,9 +3,10 @@ emit CSV tables and optional delivery traces.
 
 Subcommands: bound | waterfill | walk | phases | audit | simulate | sweep.
 Each reads the one scenario (a SimConfig) that `_scenario` builds from the
-config, so a config that cannot be built fails every subcommand. sweep varies
-the scenario's allocation and phase set per split, phases varies only its
-phase set; both run unconstrained conveyors and reject an [energy] section.
+config and validates as `run` does, so a config that cannot be built or run
+fails every subcommand. sweep varies the scenario's allocation and phase set
+per split, phases varies only its phase set; both run unconstrained conveyors
+and reject an [energy] section.
 Global flags: --config FILE (required), --seed N (replaces the config's seed
 list with the single seed N), --out FILE (write the CSV there instead of
 stdout; [output] csv when absent), --echo-config (print the config and exit).
@@ -23,14 +24,16 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import __version__
 from .analysis import lower_bound, mean_std, phase_comparison, seed_runs, split_sweep
-from .config import ConfigError, ExperimentConfig, load_config, render_config
+from .config import ConfigError, ExperimentConfig, field_error, load_config, render_config
 from .conveyor_plan import clustered_phases, coverage_audit, random_phases, uniform_phases
 from .graph_core import bfs_distances, build_graph
 from .sensing_alloc import (
@@ -42,7 +45,7 @@ from .sensing_alloc import (
     uniform_alloc,
     water_fill,
 )
-from .sim_engine import DeliveryLog, SimConfig
+from .sim_engine import DeliveryLog, SimConfig, shared_draws
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +54,7 @@ from .sim_engine import DeliveryLog, SimConfig
 
 
 def _scenario(cfg: ExperimentConfig) -> SimConfig:
-    """Every subcommand reads this scenario; sweeps and phase comparisons vary it."""
+    """Every subcommand reads this validated scenario; sweeps and phase comparisons vary it."""
     graph = build_graph(cfg.node_count, cfg.edges)
     budget = cfg.n_s if cfg.n_s is not None else sum(cfg.m)
     max_m = cfg.max_m
@@ -71,7 +74,7 @@ def _scenario(cfg: ExperimentConfig) -> SimConfig:
         phases = random_phases(cfg.n_c, L, cfg.phase_seed)
     else:
         phases = uniform_phases(L, cfg.n_c)
-    return SimConfig(
+    scenario = SimConfig(
         graph=graph,
         phase_set=phases,
         model=model,
@@ -81,6 +84,8 @@ def _scenario(cfg: ExperimentConfig) -> SimConfig:
         seed=cfg.seeds[0],
         energy=cfg.energy,
     )
+    scenario.validate()
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +189,12 @@ def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
     bound = lower_bound(s.model, s.alloc, bfs_distances(s.graph))
 
     # per-seed ages; a run builds its delivery log only when it is read, and only
-    # the first seed's log is read, to be traced
-    ages: list[tuple[dict[int, float], float]] = []
-    first_log = None
-    for res in seed_runs(s, cfg.seeds):
-        ages.append((res.per_node_aoi, res.network_aoi))
-        if first_log is None and cfg.out_trace is not None:
-            first_log = res.delivery_log
+    # the first seed's log is read, to be traced: that seed runs on stored draws,
+    # so its log replays them instead of drawing the masks again
+    runs = seed_runs(s, cfg.seeds)
+    with shared_draws() if cfg.out_trace is not None else nullcontext():
+        first = next(runs)
+    ages = [(res.per_node_aoi, res.network_aoi) for res in itertools.chain([first], runs)]
 
     rows = []
     for node in sorted(bound.per_node_bound):
@@ -204,7 +208,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
     _emit(text, out_path)
 
     if cfg.out_trace is not None:
-        _write_trace(cfg.out_trace, first_log, cfg.seeds[0])
+        _write_trace(cfg.out_trace, first.delivery_log, cfg.seeds[0])
     return 0
 
 
@@ -238,7 +242,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_path: str | None) -> int:
     if cfg.energy is not None:
         raise ConfigError("[energy]: sweep runs unconstrained conveyors only")
     if cfg.sweep_total is None:
-        raise ConfigError("[sweep] total: missing required field")
+        raise field_error("sweep_total", "missing required field")
     cells, best = split_sweep(_scenario(cfg), cfg.sweep_total, cfg.seeds)
     rows = [
         (c.n_s, c.n_c, c.mean_aoi, c.std_aoi, c.bound, int(c is best)) for c in cells

@@ -1,8 +1,10 @@
 """Config parsing, rendering round-trips, and the command-line front-end."""
 
+import dataclasses
 import json
 import runpy
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 import agecourier as ac
 from agecourier import sim_engine
-from agecourier.cli import _TRACE_BLOCK, _write_trace, main
-from agecourier.config import ALLOCATION_STRATEGIES, PHASE_STRATEGIES
+from agecourier.cli import _TRACE_BLOCK, _scenario, _write_trace, main
+from agecourier.config import _FIELDS, ALLOCATION_STRATEGIES, PHASE_STRATEGIES
 
 from _support import REF_WATERFILL_10, checked_run, ref_config
 
@@ -35,6 +37,13 @@ horizon = 1500
 warmup = 100
 seeds = 1, 2
 """
+
+EXTENDED_CONFIG = BASE_CONFIG + (
+    "\n[energy]\nb_max = 12.5\ne_move = 1\nr_chg = 2\n"
+    "\n[sweep]\ntotal = 12\n"
+    "\n[phases]\nn_c_values = 3, 7\nrandom_draws = 2\n"
+    "\n[output]\ncsv = out.csv\n"
+)
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="exp.ini"):
@@ -65,19 +74,35 @@ def test_parse_minimal_config():
 def test_render_parse_round_trip():
     cfg = ac.parse_config(BASE_CONFIG)
     assert ac.parse_config(ac.render_config(cfg)) == cfg
-    extended = BASE_CONFIG + (
-        "\n[energy]\nb_max = 12.5\ne_move = 1\nr_chg = 2\n"
-        "\n[sweep]\ntotal = 12\n"
-        "\n[phases]\nn_c_values = 3, 7\nrandom_draws = 2\n"
-        "\n[output]\ncsv = out.csv\n"
-    )
-    cfg2 = ac.parse_config(extended)
+    cfg2 = ac.parse_config(EXTENDED_CONFIG)
     assert cfg2.energy == ac.EnergyParams(b_max=12.5, e_move=1.0, r_chg=2.0)
     assert cfg2.sweep_total == 12
     assert cfg2.phases_n_c_values == (3, 7)
     assert cfg2.phases_random_draws == 2
     assert cfg2.out_csv == "out.csv"
     assert ac.parse_config(ac.render_config(cfg2)) == cfg2
+
+
+def test_rendered_text_is_pinned():
+    # sections and keys in table order, floats as repr, edges as a-b pairs
+    assert ac.render_config(ac.parse_config(EXTENDED_CONFIG)) == (
+        "[graph]\nnodes = 8\nedges = 0-1, 1-3, 0-2, 2-4, 0-5, 5-6, 6-7\n\n"
+        "[sensing]\nalphas = 4.0, 6.0, 3.0, 9.0, 6.0, 8.0, 7.0\nallocation = waterfill\n"
+        "n_s = 10\n\n"
+        "[conveyors]\nphases = uniform\nn_c = 14\nphase_seed = 0\n\n"
+        "[simulation]\nhorizon = 1500\nwarmup = 100\nseeds = 1, 2\n\n"
+        "[energy]\nb_max = 12.5\ne_move = 1.0\nr_chg = 2.0\n\n"
+        "[sweep]\ntotal = 12\n\n"
+        "[phases]\nn_c_values = 3, 7\nrandom_draws = 2\n\n"
+        "[output]\ncsv = out.csv\n\n"
+    )
+
+
+def test_every_config_field_has_one_table_row():
+    assert len({(section, key) for section, key, *_ in _FIELDS}) == len(_FIELDS)
+    names = [f.name for f in dataclasses.fields(ac.ExperimentConfig) if f.name != "energy"]
+    names += [f.name for f in dataclasses.fields(ac.EnergyParams)]
+    assert Counter(field for _, _, field, *_ in _FIELDS) == Counter(names)
 
 
 _paths = st.from_regex(r"[A-Za-z0-9_./-]{1,16}", fullmatch=True)
@@ -202,9 +227,11 @@ def test_bad_values_are_rejected():
         ("n_s = 10", "n_s = 7\nmax_m = 1\n\n[sweep]\ntotal = 10",
          r"\[sweep\] total: 10 leaves up to 9 sensing robots, more than 7 non-base nodes "
          r"hold at max_m=1"),
+        ("seeds = 1, 2", "seeds = 1, 2\n\n[phases]\nn_c_values =",
+         r"\[phases\] n_c_values: needs at least one conveyor count"),
     ],
     ids=["alphas", "m", "n_s", "n_c", "n_c_zero", "n_c_values", "random_draws",
-         "max_m", "n_s_over_max_m", "sweep_total_over_max_m"],
+         "max_m", "n_s_over_max_m", "sweep_total_over_max_m", "n_c_values_empty"],
 )
 def test_fields_that_disagree_are_named(old, new, message):
     with pytest.raises(ac.ConfigError, match=message):
@@ -362,6 +389,20 @@ def test_delivery_log_is_built_only_when_read(tmp_path, capsys, monkeypatch):
     assert len(built) == 2
 
 
+def test_a_traced_simulate_draws_each_mask_once(tmp_path, capsys, monkeypatch):
+    trace = tmp_path / "trace.ndjson"
+    text = BASE_CONFIG + f"\n[output]\ntrace = {trace}\n"
+    draws = []
+    draw = sim_engine.generation_mask
+    monkeypatch.setattr(sim_engine, "generation_mask", lambda *key: draws.append(key) or draw(*key))
+    assert run_cli(capsys, "simulate", "--config", write_config(tmp_path, text))[0] == 0
+    assert len(draws) == len(set(draws)) == 7 * 2  # k nodes x 2 seeds
+    # the trace replays the first seed's stored draws: the same events as a fresh run
+    expected = tmp_path / "expected.ndjson"
+    _write_trace(str(expected), ac.run(_scenario(ac.parse_config(text))).delivery_log, 1)
+    assert trace.read_bytes() == expected.read_bytes()
+
+
 def test_trace_lines_are_json_dumps_of_each_event(tmp_path):
     log = checked_run(ref_config(horizon=300, warmup=10, seed=8)).delivery_log
     fresh = log.became_freshest.copy()
@@ -463,6 +504,26 @@ def test_cli_walk_rejects_alphas_of_the_wrong_length(tmp_path, capsys):
     code, out, err = run_cli(capsys, "walk", "--config", path)
     assert code == 1 and out == ""
     assert "[sensing] alphas" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "walk", "waterfill", "audit"])
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("warmup = 100", "warmup = 5000"),
+        ("horizon = 1500", "horizon = 0"),
+        ("warmup = 100", "warmup = -1"),
+        ("horizon = 1500", "horizon = 3000000000"),
+        ("seeds = 1, 2", "seeds = -3"),
+    ],
+    ids=["warmup_past_horizon", "horizon_zero", "warmup_negative", "horizon_huge", "seed_negative"],
+)
+def test_every_subcommand_rejects_a_scenario_that_run_rejects(tmp_path, capsys, command, old, new):
+    path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    assert run_cli(capsys, "simulate", "--config", path)[0] == 1
+    code, out, err = run_cli(capsys, command, "--config", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_cli_phases_uses_the_configured_allocation(tmp_path, capsys):
