@@ -311,6 +311,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
             cfg = dataclasses.replace(cfg, seeds=(args.seed,))
         if args.echo_config:
             _emit(render_config(cfg), args.out)

@@ -164,6 +164,8 @@ def parse_config(text: str) -> ExperimentConfig:
     need("phase_seed", v["phase_strategy"] == "random")
     if not v["seeds"]:
         raise field_error("seeds", "needs at least one seed")
+    if min(v["seeds"]) < 0:
+        raise field_error("seeds", f"must be >= 0, got {min(v['seeds'])}")
 
     energy = None
     if cp.has_section("energy"):

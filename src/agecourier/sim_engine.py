@@ -26,7 +26,8 @@ so only the last sample generated before each pickup can reach the base: the
 replay works per pickup, not per sample, and turns each node's generation
 process into its deliveries and exact ages, on one plain thread per
 available CPU. A result keeps no delivery columns: its log is replayed
-through the same per-node function when it is first read. Within
+through the same per-node function when it is first read, and each node's
+events are written straight to their slots' positions in the log. Within
 `shared_draws`, every run reads each node's successes from one store, so a
 sweep draws each (seed, node, q, horizon) process once. A fleet with no cycle
 inside the horizon is solved over its first H slots. The literal per-slot
@@ -140,8 +141,9 @@ class SimResult:
     """Exact ages of one run, and its base deliveries as `delivery_log`.
 
     Most callers read only the ages, so the result holds no delivery columns:
-    `_make_log` replays the run's deliveries into the log when it is first
-    read, and is released then.
+    `_make_log` replays the run's deliveries when the log is first read,
+    places each node's events at their slots' positions (see `_merge_log`),
+    and is released then.
     """
 
     per_node_aoi: dict[int, float]
@@ -788,13 +790,31 @@ def _deliveries(cfg: SimConfig, arrivals: _Arrivals, draws: dict | None, node: i
 
 
 def _merge_log(deliveries, k: int) -> DeliveryLog:
-    """Replay nodes 1..k's deliveries and merge them into one log in slot
-    order, origins ascending within a slot."""
-    dels, gens, starts = zip(*_thread_map(deliveries, range(1, k + 1), min(_cpu_count(), k)))
-    org = np.repeat(np.arange(1, k + 1), [d.size for d in dels])
-    del_, gen, srt = np.concatenate(dels), np.concatenate(gens), np.concatenate(starts)
-    idx = np.argsort(del_, kind="stable")  # slot order; origins stay ascending within a slot
-    return DeliveryLog(org[idx], srt[idx], gen[idx], del_[idx], np.ones(idx.size, dtype=bool))
+    """Replay nodes 1..k's deliveries and place them into one log in slot
+    order, origins ascending within a slot.
+
+    A node delivers at most once per slot, so counting each slot's events
+    over the nodes' delivery slots and summing the counts gives the position
+    just past each slot's events. The nodes are placed from k down to 1:
+    each event goes one below its slot's end, which then moves down by one,
+    and each node's arrays are dropped once placed. A read holds the per-node
+    deliveries, the five log columns and one int64 per slot up to the last
+    delivery; no concatenated, sorted or gathered copy is made.
+    """
+    per_node = _thread_map(deliveries, range(1, k + 1), min(_cpu_count(), k))
+    last = max((int(dk[-1]) for dk, _, _ in per_node if dk.size), default=-1)
+    end = np.zeros(last + 1, dtype=np.int64)
+    for dk, _, _ in per_node:
+        end[dk] += 1  # a node's delivery slots strictly increase: no index repeats
+    np.cumsum(end, out=end)
+    n = int(end[-1]) if end.size else 0
+    origin, start, gen, dlv = (np.empty(n, dtype=np.int64) for _ in range(4))
+    for node in range(k, 0, -1):
+        dk, gk, sk = per_node.pop()
+        end[dk] -= 1
+        at = end[dk]
+        origin[at], start[at], gen[at], dlv[at] = node, sk, gk, dk
+    return DeliveryLog(origin, start, gen, dlv, np.ones(n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ The acceptance tests report how many runs these checks covered.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 import agecourier as ac
@@ -181,6 +183,24 @@ def aoi_from_event_log_loop(
             prev_s = sj
         out[node] = total / n_slots
     return out
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes that tracemalloc saw allocated during the call
+    beyond what was allocated when it started. numpy reports its array
+    buffers to tracemalloc, so they count, from every thread."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, peak - before
 
 
 def checked_run(cfg: ac.SimConfig, engine: str = "table") -> ac.SimResult:

@@ -229,9 +229,11 @@ def test_bad_values_are_rejected():
          r"hold at max_m=1"),
         ("seeds = 1, 2", "seeds = 1, 2\n\n[phases]\nn_c_values =",
          r"\[phases\] n_c_values: needs at least one conveyor count"),
+        ("seeds = 1, 2", "seeds = 1, -3", r"\[simulation\] seeds: must be >= 0, got -3"),
     ],
     ids=["alphas", "m", "n_s", "n_c", "n_c_zero", "n_c_values", "random_draws",
-         "max_m", "n_s_over_max_m", "sweep_total_over_max_m", "n_c_values_empty"],
+         "max_m", "n_s_over_max_m", "sweep_total_over_max_m", "n_c_values_empty",
+         "seeds_negative"],
 )
 def test_fields_that_disagree_are_named(old, new, message):
     with pytest.raises(ac.ConfigError, match=message):
@@ -524,6 +526,18 @@ def test_every_subcommand_rejects_a_scenario_that_run_rejects(tmp_path, capsys, 
     code, out, err = run_cli(capsys, command, "--config", path)
     assert code == 1 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["bound", "walk", "waterfill", "audit", "simulate"])
+def test_every_subcommand_rejects_a_negative_seed(tmp_path, capsys, command):
+    # a negative seed after the first one, and a negative --seed on a valid config
+    path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 1, 2", "seeds = 1, -3"))
+    code, out, err = run_cli(capsys, command, "--config", path)
+    assert (code, out) == (1, "")
+    assert err == "error: [simulation] seeds: must be >= 0, got -3\n"
+    code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path), "--seed", "-3")
+    assert (code, out) == (1, "")
+    assert err == "error: --seed: must be >= 0, got -3\n"
 
 
 def test_cli_phases_uses_the_configured_allocation(tmp_path, capsys):

@@ -22,6 +22,7 @@ from agecourier.sim_engine import (
     UnsortedLog,
     _NEVER,
     _battery_arrivals,
+    _deliveries,
     _fleet_positions,
     _run_stepper,
     _walk_arrivals,
@@ -37,6 +38,7 @@ from _support import (
     ref_config,
     ref_walk,
     trend_config,
+    traced_peak,
 )
 
 
@@ -304,6 +306,83 @@ def test_a_result_holds_no_delivery_arrays_until_its_log_is_read():
     assert held and held.keys() <= _reachable_arrays((cfg, arrivals)).keys()
     log = res.delivery_log
     assert id(log.delivered) in _reachable_arrays(res)
+
+
+# ---------------------------------------------------------------------------
+# the delivery log: each node's events placed at their slots' positions
+# ---------------------------------------------------------------------------
+
+def _sorted_log(cfg: ac.SimConfig) -> ac.DeliveryLog:
+    """Reference log: every node's `_deliveries` concatenated and put in slot
+    order, origins ascending within a slot, by one lexsort."""
+    arrivals = _arrivals_of(cfg)
+    per_node = [_deliveries(cfg, arrivals, None, v) for v in range(1, cfg.graph.node_count)]
+    origin = np.concatenate([np.full(dk.size, v) for v, (dk, _, _) in enumerate(per_node, 1)])
+    dk, gk, sk = (np.concatenate(column) for column in zip(*per_node))
+    order = np.lexsort((origin, dk))
+    return ac.DeliveryLog(origin[order], sk[order], gk[order], dk[order], np.ones(dk.size, bool))
+
+
+def test_a_horizon_before_the_first_delivery_gives_an_empty_log():
+    cfg = ref_config(n_c=1, horizon=4, warmup=0)
+    res = checked_run(cfg)
+    log = res.delivery_log
+    assert len(log) == 0 and log == _run_stepper(cfg).delivery_log
+    ages = ac.aoi_from_event_log(log, cfg.horizon, cfg.warmup, origins=range(1, 8))
+    assert ages == res.per_node_aoi and list(ages) == list(range(1, 8))
+    # the same scenario one slot later delivers
+    assert len(checked_run(dataclasses.replace(cfg, horizon=5)).delivery_log) > 0
+
+
+def test_a_battery_prefix_and_a_node_that_never_delivers_place_like_a_sort():
+    cfg = ac.SimConfig(
+        graph=ac.build_graph(3, [(0, 1), (1, 2)]),
+        phase_set=ac.PhaseSet((0,), 4),
+        model=ac.make_model((2.0, 3.0), max_m=1),
+        alloc=ac.SensingAllocation((1, 1)),
+        horizon=5000,
+        warmup=0,
+        seed=0,
+        energy=ac.EnergyParams(b_max=2.0, e_move=1.0, r_chg=0.5),
+    )
+    assert _fleet_cycle(cfg)[0] > 0
+    log = _assert_matches_stepper(cfg).delivery_log
+    # node 2 is two hops out, and a full battery only covers one hop and the way back
+    assert np.any(log.origin == 1) and not np.any(log.origin == 2)
+    assert log == _sorted_log(cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ref_config(n_c=3, horizon=500_000, warmup=0, seed=5),
+        trend_config(b_max=30.0, seed=3, horizon=500_000, warmup=0),
+    ],
+    ids=["reference", "battery"],
+)
+def test_a_long_log_places_like_a_sort(cfg):
+    # too long for the stepper oracle: every slot of the log is checked against the sort
+    res = checked_run(cfg) if cfg.energy is None else checked_run_energy(cfg)
+    log = res.delivery_log
+    assert log == _sorted_log(cfg)
+    assert len(np.unique(log.delivered)) < len(log)  # some slots hold several origins
+
+
+def test_a_log_read_peaks_below_twice_its_bytes_plus_the_slot_counter(monkeypatch):
+    # Sparse pickups: two conveyors on the reference walk. A read holds the
+    # per-node deliveries (three int64 columns), the log (four int64 columns
+    # and the flags, 33 bytes an event) and one int64 per slot up to the last
+    # delivery, so its traced peak stays under twice the log's bytes plus that
+    # counter. A merge that concatenates, sorts and gathers the columns peaks
+    # near three times the log's bytes. Two replay threads keep the per-node
+    # transients the same on every machine.
+    monkeypatch.setattr(sim_engine, "_cpu_count", lambda: 2)
+    res = ac.run(ref_config(n_c=2, horizon=400_000, warmup=0))
+    log, peak = traced_peak(lambda: res.delivery_log)
+    log_bytes = sum(getattr(log, c).nbytes for c in log.__slots__)
+    counter_bytes = 8 * (int(log.delivered[-1]) + 1)
+    assert len(log) > 200_000
+    assert peak < 2 * log_bytes + counter_bytes
 
 
 def test_same_seed_reproducible_and_seeds_differ():
