@@ -212,10 +212,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
     return 0
 
 
-_TRACE_EVENT = tuple(  # one line template per became_freshest value
-    b'{"origin": %%d, "sensing_start": %%d, "generated": %%d, "delivered": %%d, '
-    b'"became_freshest": %s}\n' % flag
-    for flag in (b"false", b"true")
+_TRACE_EVENT = (
+    b'{"origin": %d, "sensing_start": %d, "generated": %d, "delivered": %d, '
+    b'"became_freshest": true}\n'
 )
 _TRACE_BLOCK = 4096  # events formatted per write
 
@@ -224,18 +223,17 @@ def _write_trace(path: str, log: DeliveryLog, seed: int) -> None:
     """One JSON object per delivery event, in delivery order, for the first seed.
 
     Each line is exactly json.dumps of the event's dict (keys in column order,
-    default separators), written as ASCII bytes. A block of events is
-    formatted at once: the templates of its flags joined into one format
-    string, filled from its four integer columns interleaved event by event.
+    default separators), written as ASCII bytes. Every event refreshed the
+    base copy, so `became_freshest` is always true and each line fills one
+    template: a block of events is formatted at once, the template repeated
+    per event and filled from the four columns interleaved event by event.
     """
+    columns = (log.origin, log.sensing_start, log.generated, log.delivered)
     with open(path, "wb") as fh:
         fh.write(json.dumps({"version": __version__, "seed": seed}).encode() + b"\n")
         for lo in range(0, len(log), _TRACE_BLOCK):
-            block = slice(lo, lo + _TRACE_BLOCK)
-            template = b"".join([_TRACE_EVENT[f] for f in log.became_freshest[block].tolist()])
-            columns = (log.origin, log.sensing_start, log.generated, log.delivered)
-            values = np.stack([c[block] for c in columns], axis=1).ravel().tolist()
-            fh.write(template % tuple(values))
+            block = np.stack([c[lo : lo + _TRACE_BLOCK] for c in columns], axis=1)
+            fh.write((_TRACE_EVENT * len(block)) % tuple(block.ravel().tolist()))
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_path: str | None) -> int:

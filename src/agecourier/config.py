@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .sim_engine import ConfigInvalid, EnergyParams
@@ -148,11 +149,18 @@ def parse_config(text: str) -> ExperimentConfig:
     need("m", allocation == "explicit")
     if len(v["alphas"]) != k:
         raise field_error("alphas", f"got {len(v['alphas'])} values for {k} non-base nodes")
+    for a in v["alphas"]:
+        if not 0 < a < math.inf:
+            raise field_error("alphas", f"must be finite and > 0, got {a}")
+    if m is not None and any(mi < 1 for mi in m):
+        raise field_error("m", f"every entry must be >= 1, got {min(m)}")
     if allocation == "explicit":
         if len(m) != k:
             raise field_error("m", f"got {len(m)} entries for {k} non-base nodes")
         if n_s is not None and sum(m) != n_s:
             raise field_error("n_s", f"{n_s} but m sums to {sum(m)}")
+    if n_s is not None and n_s < k:
+        raise field_error("n_s", f"{n_s} robots are fewer than the {k} non-base nodes")
     if max_m is not None and max_m < 1:
         raise field_error("max_m", f"must be >= 1, got {max_m}")
     if max_m is not None and n_s is not None and n_s > k * max_m:
@@ -162,6 +170,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if not 1 <= v["n_c"] <= walk_length:
         raise field_error("n_c", f"{v['n_c']} outside 1..{walk_length}, the walk length")
     need("phase_seed", v["phase_strategy"] == "random")
+    if v.get("phase_seed", 0) < 0:
+        raise field_error("phase_seed", f"must be >= 0, got {v['phase_seed']}")
     if not v["seeds"]:
         raise field_error("seeds", "needs at least one seed")
     if min(v["seeds"]) < 0:
@@ -179,6 +189,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if cp.has_section("sweep"):
         need("sweep_total")
         total = v["sweep_total"]
+        if total < k + 1:
+            raise field_error("sweep_total", f"{total} cannot cover {k} sensors plus one conveyor")
         # every split keeps one conveyor, so it senses with up to total - 1 robots
         if max_m is not None and total - 1 > k * max_m:
             raise field_error(

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 BRUTE_FORCE_LIMIT = 10**7
 
 
 class NonPositiveAlpha(ValueError):
-    """Sensing workload alpha must be strictly positive."""
+    """Sensing workload alpha must be finite and strictly positive."""
 
 
 class ConvexityViolation(ValueError):
@@ -89,8 +89,8 @@ def make_model(alphas, max_m: int) -> SensingModel:
     """Build the clamped parametric model from per-node workloads."""
     alphas = tuple(float(a) for a in alphas)
     for i, a in enumerate(alphas):
-        if not a > 0:
-            raise NonPositiveAlpha(f"alpha at index {i} must be > 0, got {a}")
+        if not 0 < a < inf:
+            raise NonPositiveAlpha(f"alpha at index {i} must be finite and > 0, got {a}")
     if max_m < 1:
         raise OutOfRange(f"max_m must be >= 1, got {max_m}")
     mu_rows = []

@@ -26,10 +26,11 @@ so only the last sample generated before each pickup can reach the base: the
 replay works per pickup, not per sample, and turns each node's generation
 process into its deliveries and exact ages, on one plain thread per
 available CPU. A result keeps no delivery columns: its log is replayed
-through the same per-node function when it is first read, and each node's
-events are written straight to their slots' positions in the log. Within
-`shared_draws`, every run reads each node's successes from one store, so a
-sweep draws each (seed, node, q, horizon) process once. A fleet with no cycle
+through the same per-node function on the calling thread when it is first
+read, and each node's events are written straight to their slots' positions
+in the log, four integers an event. Within `shared_draws`, every run reads
+each node's successes from one store, so a sweep draws each (seed, node, q,
+horizon) process once. A fleet with no cycle
 inside the horizon is solved over its first H slots. The literal per-slot
 stepper stays as the reference; the tests assert bit-identical results across
 trees, phases, and batteries.
@@ -94,18 +95,23 @@ class DeliveryLog:
     """Base deliveries in slot order, origins ascending within a slot.
 
     Runs at desk scale produce hundreds of thousands of events, so the log
-    is five parallel arrays: origin, sensing_start, generated, delivered and
-    became_freshest, one entry per event.
+    is four parallel int64 arrays: origin, sensing_start, generated and
+    delivered, one entry per event (32 bytes). The base logs a delivery only
+    when it strictly refreshes its copy, so every event became the freshest:
+    `became_freshest` is a read-only all-True view, kept for the trace format.
     """
 
-    __slots__ = ("origin", "sensing_start", "generated", "delivered", "became_freshest")
+    __slots__ = ("origin", "sensing_start", "generated", "delivered")
 
-    def __init__(self, origin, sensing_start, generated, delivered, became_freshest):
+    def __init__(self, origin, sensing_start, generated, delivered):
         self.origin = np.asarray(origin, dtype=np.int64)
         self.sensing_start = np.asarray(sensing_start, dtype=np.int64)
         self.generated = np.asarray(generated, dtype=np.int64)
         self.delivered = np.asarray(delivered, dtype=np.int64)
-        self.became_freshest = np.asarray(became_freshest, dtype=bool)
+
+    @property
+    def became_freshest(self) -> np.ndarray:
+        return np.broadcast_to(True, self.origin.shape)
 
     def __len__(self) -> int:
         return int(self.origin.size)
@@ -113,13 +119,7 @@ class DeliveryLog:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeliveryLog):
             return NotImplemented
-        return (
-            np.array_equal(self.origin, other.origin)
-            and np.array_equal(self.sensing_start, other.sensing_start)
-            and np.array_equal(self.generated, other.generated)
-            and np.array_equal(self.delivered, other.delivered)
-            and np.array_equal(self.became_freshest, other.became_freshest)
-        )
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in self.__slots__)
 
     def __repr__(self) -> str:
         return f"DeliveryLog({len(self)} events)"
@@ -200,6 +200,11 @@ class SimConfig:
             raise ConfigInvalid(f"model covers {self.model.node_count} nodes, graph has {k}")
         if max(self.alloc.m) > self.model.max_m:
             raise ConfigInvalid("allocation exceeds the model's max_m")
+        energy, depth = self.energy, max(self.tree.depth)
+        if energy is not None and energy.b_max < energy.e_move * depth:
+            raise BatteryTooSmall(
+                f"b_max={energy.b_max} cannot cover a depth-{depth} return at e_move={energy.e_move}"
+            )
 
 
 @lru_cache(maxsize=16)
@@ -299,12 +304,6 @@ def run_energy(cfg: SimConfig) -> SimResult:
     cfg.validate()
     if cfg.energy is None:
         raise ConfigInvalid("run_energy needs energy parameters")
-    max_depth = max(cfg.tree.depth)
-    if cfg.energy.b_max < cfg.energy.e_move * max_depth:
-        raise BatteryTooSmall(
-            f"b_max={cfg.energy.b_max} cannot cover a depth-{max_depth} return "
-            f"at e_move={cfg.energy.e_move}"
-        )
     stats = [[0] * len(cfg.phase_set.phases) for _ in range(4)]
     arrivals = _battery_arrivals(cfg, stats)
     return _replay(cfg, arrivals, _energy_trace(stats))
@@ -561,7 +560,7 @@ def _run_stepper(cfg: SimConfig) -> SimResult:
     n_slots = horizon - warmup
     per_node = {o + 1: aoi_sum[o] / n_slots for o in range(k)}
     network = sum(per_node.values()) / k
-    log = DeliveryLog(ev_origin, ev_start, ev_gen, ev_del, [True] * len(ev_origin))
+    log = DeliveryLog(ev_origin, ev_start, ev_gen, ev_del)
     return SimResult(
         per_node_aoi=per_node,
         network_aoi=network,
@@ -739,7 +738,8 @@ def _replay(cfg: SimConfig, arrivals: _Arrivals, energy_trace=None) -> SimResult
     Nodes draw from their own streams, so they replay on one plain thread per
     available CPU and are collected in node order. The result holds no
     delivery columns: its log replays the same per-node deliveries, from the
-    draw store active now (see `shared_draws`), when it is first read.
+    draw store active now (see `shared_draws`), when it is first read (see
+    `_merge_log`).
     """
     k = cfg.graph.node_count - 1
     horizon, warmup = cfg.horizon, cfg.warmup
@@ -790,7 +790,8 @@ def _deliveries(cfg: SimConfig, arrivals: _Arrivals, draws: dict | None, node: i
 
 
 def _merge_log(deliveries, k: int) -> DeliveryLog:
-    """Replay nodes 1..k's deliveries and place them into one log in slot
+    """Replay nodes 1..k's deliveries on the calling thread, so one node's
+    transients are held at a time, and place them into one log in slot
     order, origins ascending within a slot.
 
     A node delivers at most once per slot, so counting each slot's events
@@ -798,10 +799,10 @@ def _merge_log(deliveries, k: int) -> DeliveryLog:
     just past each slot's events. The nodes are placed from k down to 1:
     each event goes one below its slot's end, which then moves down by one,
     and each node's arrays are dropped once placed. A read holds the per-node
-    deliveries, the five log columns and one int64 per slot up to the last
+    deliveries, the four log columns and one int64 per slot up to the last
     delivery; no concatenated, sorted or gathered copy is made.
     """
-    per_node = _thread_map(deliveries, range(1, k + 1), min(_cpu_count(), k))
+    per_node = [deliveries(node) for node in range(1, k + 1)]
     last = max((int(dk[-1]) for dk, _, _ in per_node if dk.size), default=-1)
     end = np.zeros(last + 1, dtype=np.int64)
     for dk, _, _ in per_node:
@@ -814,7 +815,7 @@ def _merge_log(deliveries, k: int) -> DeliveryLog:
         end[dk] -= 1
         at = end[dk]
         origin[at], start[at], gen[at], dlv[at] = node, sk, gk, dk
-    return DeliveryLog(origin, start, gen, dlv, np.ones(n, dtype=bool))
+    return DeliveryLog(origin, start, gen, dlv)
 
 
 # ---------------------------------------------------------------------------
@@ -824,12 +825,15 @@ def _merge_log(deliveries, k: int) -> DeliveryLog:
 def aoi_from_event_log(
     log: DeliveryLog, horizon: int, warmup: int = 0, origins=None
 ) -> dict[int, float]:
-    """Rebuild per-node average ages from freshest delivery events alone.
+    """Rebuild per-node average ages from the delivery events alone.
 
-    Between consecutive freshest deliveries the age is a straight ramp, so the
-    window sum is a handful of integer series: a cycle of width W starting at
-    age a contributes a*W + W*(W-1)/2. Must agree exactly with the slot
-    sampled averages of the run that produced the log.
+    Every event refreshes the base copy, so a node's age at slot t is t - s(t),
+    s(t) being the sensing start of its last event delivered by t (0 before
+    the first). Over the window, t sums to one ramp, and each event raises s
+    by its start's rise over the origin's previous event (the first's rise is
+    its own start) for the max(H - max(delivered, warmup), 0) slots from its
+    delivery on. Sums are exact int64 per origin, and must agree exactly with
+    the slot sampled averages of the run that produced the log.
 
     origins fixes the node set (needed when some node never delivered); by
     default the nodes present in the log are used. Raises UnsortedLog if any
@@ -839,10 +843,8 @@ def aoi_from_event_log(
         raise ValueError(f"need 0 <= warmup < horizon, got {warmup}, {horizon}")
     if 2 * horizon**2 >= 2**63:  # int64 ramp sums, as in SimConfig.validate
         raise ValueError(f"horizon must be < 2**31, got {horizon}")
-    fresh = log.became_freshest
-    org, dlv, srt = log.origin[fresh], log.delivered[fresh], log.sensing_start[fresh]
-    order = np.argsort(org, kind="stable")  # group by origin, log order within
-    org, dlv, srt = org[order], dlv[order], srt[order]
+    order = np.argsort(log.origin, kind="stable")  # group by origin, log order within
+    org, dlv, srt = log.origin[order], log.delivered[order], log.sensing_start[order]
     if origins is None:
         origins = np.unique(org).tolist()
     origins = list(origins)
@@ -851,24 +853,11 @@ def aoi_from_event_log(
         if node in unsorted:
             raise UnsortedLog(f"events for origin {node} are not time-ordered")
 
-    # Each origin's segments: one ending at each of its events, then the tail
-    # [last delivery, horizon). Segment i of an origin whose events start at
-    # index a ends at event a + i and follows event a + i - 1 (none for i = 0).
-    nodes = np.asarray(origins, dtype=np.int64)
-    first_event = np.searchsorted(org, nodes)
-    events = np.searchsorted(org, nodes + 1) - first_event
-    n = events + 1
-    first = np.cumsum(n) - n  # each origin's first segment
-    step = np.arange(n.sum()) - np.repeat(first, n)
-    ev = np.repeat(first_event, n) + step
-    dlv, srt = np.append(dlv, 0), np.append(srt, 0)  # ev reaches one past the last event
-    end = np.where(step == np.repeat(events, n), horizon, dlv[ev])
-    prev_d = np.where(step > 0, dlv[ev - 1], 0)
-    prev_s = np.where(step > 0, srt[ev - 1], 0)
-    lo = np.maximum(prev_d, warmup)
-    width = np.maximum(np.minimum(end, horizon) - lo, 0)
-    # age ramp: starts at lo - prev_s, rises by one per slot
-    ramp = (lo - prev_s) * width + width * (width - 1) // 2
-    totals = np.add.reduceat(ramp, first).tolist() if nodes.size else []
+    first = np.flatnonzero(np.diff(org, prepend=org[:1] - 1))  # each origin's first event
+    rise = np.diff(srt, prepend=0)
+    rise[first] = srt[first]
+    step_sum = rise * np.maximum(horizon - np.maximum(dlv, warmup), 0)
+    steps = dict(zip(org[first].tolist(), np.add.reduceat(step_sum, first).tolist()))
     n_slots = horizon - warmup
-    return {node: total / n_slots for node, total in zip(origins, totals)}
+    ramp = (warmup + horizon - 1) * n_slots // 2
+    return {node: (ramp - steps.get(node, 0)) / n_slots for node in origins}

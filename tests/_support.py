@@ -153,10 +153,8 @@ def aoi_from_event_log_loop(
     at a time in Python integers."""
     if not 0 <= warmup < horizon:
         raise ValueError(f"need 0 <= warmup < horizon, got {warmup}, {horizon}")
-    fresh = log.became_freshest
-    org, dlv, srt = log.origin[fresh], log.delivered[fresh], log.sensing_start[fresh]
-    order = np.argsort(org, kind="stable")  # group by origin, log order within
-    org, dlv, srt = org[order], dlv[order], srt[order]
+    order = np.argsort(log.origin, kind="stable")  # group by origin, log order within
+    org, dlv, srt = log.origin[order], log.delivered[order], log.sensing_start[order]
     if origins is None:
         origins = np.unique(org).tolist()
 

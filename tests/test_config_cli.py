@@ -230,10 +230,22 @@ def test_bad_values_are_rejected():
         ("seeds = 1, 2", "seeds = 1, 2\n\n[phases]\nn_c_values =",
          r"\[phases\] n_c_values: needs at least one conveyor count"),
         ("seeds = 1, 2", "seeds = 1, -3", r"\[simulation\] seeds: must be >= 0, got -3"),
+        ("n_c = 14", "n_c = 14\nphase_seed = -1",
+         r"\[conveyors\] phase_seed: must be >= 0, got -1"),
+        ("n_s = 10", "n_s = 3", r"\[sensing\] n_s: 3 robots are fewer than the 7 non-base nodes"),
+        ("seeds = 1, 2", "seeds = 1, 2\n\n[sweep]\ntotal = 5",
+         r"\[sweep\] total: 5 cannot cover 7 sensors plus one conveyor"),
+        ("allocation = waterfill\nn_s = 10", "allocation = explicit\nm = 1, 1, 0, 2, 1, 2, 2",
+         r"\[sensing\] m: every entry must be >= 1, got 0"),
+        ("alphas = 4, 6, 3,", "alphas = 4, 6, inf,",
+         r"\[sensing\] alphas: must be finite and > 0, got inf"),
+        ("alphas = 4, 6, 3,", "alphas = 4, 6, 0,",
+         r"\[sensing\] alphas: must be finite and > 0, got 0.0"),
     ],
     ids=["alphas", "m", "n_s", "n_c", "n_c_zero", "n_c_values", "random_draws",
          "max_m", "n_s_over_max_m", "sweep_total_over_max_m", "n_c_values_empty",
-         "seeds_negative"],
+         "seeds_negative", "phase_seed_negative", "n_s_below_nodes", "sweep_total_below_nodes",
+         "m_below_one", "alphas_infinite", "alphas_zero"],
 )
 def test_fields_that_disagree_are_named(old, new, message):
     with pytest.raises(ac.ConfigError, match=message):
@@ -367,6 +379,7 @@ def test_cli_simulate_and_trace(tmp_path, capsys):
     for rec in records[1:]:
         assert set(rec) == {"origin", "sensing_start", "generated", "delivered", "became_freshest"}
         assert rec["delivered"] >= rec["generated"] >= rec["sensing_start"]
+        assert rec["became_freshest"] is True
 
 
 def test_delivery_log_is_built_only_when_read(tmp_path, capsys, monkeypatch):
@@ -407,9 +420,6 @@ def test_a_traced_simulate_draws_each_mask_once(tmp_path, capsys, monkeypatch):
 
 def test_trace_lines_are_json_dumps_of_each_event(tmp_path):
     log = checked_run(ref_config(horizon=300, warmup=10, seed=8)).delivery_log
-    fresh = log.became_freshest.copy()
-    fresh[1] = False
-    log = ac.DeliveryLog(log.origin, log.sensing_start, log.generated, log.delivered, fresh)
     trace = tmp_path / "trace.ndjson"
     _write_trace(str(trace), log, 8)
     lines = trace.read_text(encoding="utf-8").split("\n")
@@ -420,7 +430,7 @@ def test_trace_lines_are_json_dumps_of_each_event(tmp_path):
         dict(zip(names, (int(o), int(s), int(g), int(d), bool(f))))
         for o, s, g, d, f in zip(*(getattr(log, name) for name in names))
     ]
-    assert len(events) > 2 and not events[1]["became_freshest"]
+    assert len(events) > 2 and all(ev["became_freshest"] is True for ev in events)
     assert lines[1:-1] == [json.dumps(ev) for ev in events]
 
 
@@ -431,24 +441,15 @@ def test_trace_writer_across_block_boundaries(tmp_path):
     origin = rng.integers(1, 40, n)
     sensing_start = gen - rng.integers(0, 3, n)
     delivered = gen + rng.integers(1, 9, n)
-    # random flags, then one all-true and one all-false block: one template fills each
-    for fresh in (rng.random(n) < 0.5, np.arange(n) < _TRACE_BLOCK):
-        log = ac.DeliveryLog(
-            origin=origin,
-            sensing_start=sensing_start,
-            generated=gen,
-            delivered=delivered,
-            became_freshest=fresh,
-        )
-        trace = tmp_path / "trace.ndjson"
-        _write_trace(str(trace), log, 3)
-        lines = trace.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 1 + n
-        names = ("origin", "sensing_start", "generated", "delivered", "became_freshest")
-        for i, line in enumerate(lines[1:]):
-            event = {name: getattr(log, name)[i].item() for name in names}
-            assert line == json.dumps(event)
-        assert 0 < log.became_freshest.sum() < n
+    log = ac.DeliveryLog(origin, sensing_start, gen, delivered)
+    trace = tmp_path / "trace.ndjson"
+    _write_trace(str(trace), log, 3)
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + n
+    names = ("origin", "sensing_start", "generated", "delivered", "became_freshest")
+    for i, line in enumerate(lines[1:]):
+        event = {name: getattr(log, name)[i].item() for name in names}
+        assert line == json.dumps(event)
 
 
 def test_cli_seed_override_and_byte_identical_reruns(tmp_path, capsys):
@@ -517,8 +518,11 @@ def test_cli_walk_rejects_alphas_of_the_wrong_length(tmp_path, capsys):
         ("warmup = 100", "warmup = -1"),
         ("horizon = 1500", "horizon = 3000000000"),
         ("seeds = 1, 2", "seeds = -3"),
+        # the deepest node is three hops out
+        ("seeds = 1, 2", "seeds = 1, 2\n\n[energy]\nb_max = 1\ne_move = 1\nr_chg = 1"),
     ],
-    ids=["warmup_past_horizon", "horizon_zero", "warmup_negative", "horizon_huge", "seed_negative"],
+    ids=["warmup_past_horizon", "horizon_zero", "warmup_negative", "horizon_huge", "seed_negative",
+         "battery_too_small"],
 )
 def test_every_subcommand_rejects_a_scenario_that_run_rejects(tmp_path, capsys, command, old, new):
     path = write_config(tmp_path, BASE_CONFIG.replace(old, new))

@@ -42,6 +42,8 @@ def test_make_model_rejects_bad_inputs():
         ac.make_model((4.0, 0.0), max_m=2)
     with pytest.raises(NonPositiveAlpha):
         ac.make_model((-1.0,), max_m=2)
+    with pytest.raises(NonPositiveAlpha, match="finite"):
+        ac.make_model((4.0, float("inf")), max_m=2)
     with pytest.raises(OutOfRange):
         ac.make_model((4.0,), max_m=0)
 

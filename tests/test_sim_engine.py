@@ -320,7 +320,7 @@ def _sorted_log(cfg: ac.SimConfig) -> ac.DeliveryLog:
     origin = np.concatenate([np.full(dk.size, v) for v, (dk, _, _) in enumerate(per_node, 1)])
     dk, gk, sk = (np.concatenate(column) for column in zip(*per_node))
     order = np.lexsort((origin, dk))
-    return ac.DeliveryLog(origin[order], sk[order], gk[order], dk[order], np.ones(dk.size, bool))
+    return ac.DeliveryLog(origin[order], sk[order], gk[order], dk[order])
 
 
 def test_a_horizon_before_the_first_delivery_gives_an_empty_log():
@@ -368,20 +368,24 @@ def test_a_long_log_places_like_a_sort(cfg):
     assert len(np.unique(log.delivered)) < len(log)  # some slots hold several origins
 
 
-def test_a_log_read_peaks_below_twice_its_bytes_plus_the_slot_counter(monkeypatch):
-    # Sparse pickups: two conveyors on the reference walk. A read holds the
-    # per-node deliveries (three int64 columns), the log (four int64 columns
-    # and the flags, 33 bytes an event) and one int64 per slot up to the last
-    # delivery, so its traced peak stays under twice the log's bytes plus that
-    # counter. A merge that concatenates, sorts and gathers the columns peaks
-    # near three times the log's bytes. Two replay threads keep the per-node
-    # transients the same on every machine.
-    monkeypatch.setattr(sim_engine, "_cpu_count", lambda: 2)
-    res = ac.run(ref_config(n_c=2, horizon=400_000, warmup=0))
+@pytest.mark.parametrize(
+    "cfg",
+    [ref_config(n_c=2, horizon=400_000, warmup=0), ref_config(n_c=14, horizon=100_000, warmup=0)],
+    ids=["sparse", "dense"],
+)
+def test_a_log_read_peaks_below_twice_its_bytes_plus_the_slot_counter(cfg):
+    # Sparse pickups (two conveyors on the reference walk) and dense ones
+    # (every walk offset staffed). A read replays the nodes on the calling
+    # thread and holds the per-node deliveries (three int64 columns), the log
+    # (four int64 columns, 32 bytes an event) and one int64 per slot up to
+    # the last delivery, so its traced peak stays under twice the log's bytes
+    # plus that counter. A merge that concatenates, sorts and gathers the
+    # columns peaks near three times the log's bytes.
+    res = ac.run(cfg)
     log, peak = traced_peak(lambda: res.delivery_log)
     log_bytes = sum(getattr(log, c).nbytes for c in log.__slots__)
     counter_bytes = 8 * (int(log.delivered[-1]) + 1)
-    assert len(log) > 200_000
+    assert len(log) > 100_000
     assert peak < 2 * log_bytes + counter_bytes
 
 
@@ -414,8 +418,7 @@ def test_degenerate_unit_workload_ages_equal_depth():
 
 def test_event_log_reconstruction_hand_example():
     log = ac.DeliveryLog(
-        origin=[1, 1], sensing_start=[1, 4], generated=[2, 5], delivered=[3, 6],
-        became_freshest=[True, True],
+        origin=[1, 1], sensing_start=[1, 4], generated=[2, 5], delivered=[3, 6]
     )
     # ages ramp 0,1,2 | 2,3,4 | 2,3 over slots 0..7
     assert ac.aoi_from_event_log(log, horizon=8) == {1: 17 / 8}
@@ -423,31 +426,28 @@ def test_event_log_reconstruction_hand_example():
 
 
 def test_event_log_no_events_is_a_pure_ramp():
-    empty = ac.DeliveryLog([], [], [], [], [])
+    empty = ac.DeliveryLog([], [], [], [])
     out = ac.aoi_from_event_log(empty, horizon=9, origins=[1, 2])
     assert out == {1: 36 / 9, 2: 36 / 9}
 
 
-def test_event_log_respects_freshest_flag_and_order():
-    fresh = ac.DeliveryLog([1], [1], [2], [3], [True])
-    # a stale delivery at slot 4 of an older sample must not count
-    with_stale = ac.DeliveryLog([1, 1], [1, 0], [2, 1], [3, 4], [True, False])
-    assert ac.aoi_from_event_log(with_stale, horizon=8) == ac.aoi_from_event_log(fresh, horizon=8)
-    unsorted = ac.DeliveryLog([1, 1], [0, 2], [1, 3], [5, 4], [True, True])
+def test_event_log_respects_order():
+    unsorted = ac.DeliveryLog([1, 1], [0, 2], [1, 3], [5, 4])
     with pytest.raises(UnsortedLog):
         ac.aoi_from_event_log(unsorted, horizon=8)
     # origins interleave in slot order; only origin 2's own events go backwards
-    interleaved = ac.DeliveryLog([1, 2, 1, 2], [0, 0, 2, 1], [1, 1, 3, 2], [2, 6, 4, 5], [True] * 4)
+    interleaved = ac.DeliveryLog([1, 2, 1, 2], [0, 0, 2, 1], [1, 1, 3, 2], [2, 6, 4, 5])
     with pytest.raises(UnsortedLog, match="origin 2"):
         ac.aoi_from_event_log(interleaved, horizon=8)
     with pytest.raises(ValueError):
-        ac.aoi_from_event_log(fresh, horizon=5, warmup=5)
+        ac.aoi_from_event_log(ac.DeliveryLog([1], [1], [2], [3]), horizon=5, warmup=5)
 
 
 @st.composite
 def _event_logs(draw):
-    """Random logs over origins 1..4, in delivery order or shuffled, with some
-    stale events, deliveries past the horizon, and a warmup cut."""
+    """Random logs over origins 1..4, in delivery order or shuffled, with
+    sensing starts that may fall between an origin's events, deliveries past
+    the horizon, and a warmup cut."""
     horizon = draw(st.integers(2, 60))
     warmup = draw(st.integers(0, horizon - 1))
     events = draw(
@@ -457,15 +457,14 @@ def _event_logs(draw):
                 st.integers(0, horizon),  # sensing start
                 st.integers(0, 8),  # generation, after the start
                 st.integers(0, 10),  # delivery, after generation
-                st.booleans(),  # became_freshest
             ),
             max_size=30,
         )
     )
-    rows = [(o, s, s + g, s + g + d, f) for o, s, g, d, f in events]
+    rows = [(o, s, s + g, s + g + d) for o, s, g, d in events]
     if draw(st.booleans()):
         rows.sort(key=lambda r: r[3])
-    columns = [list(c) for c in zip(*rows)] if rows else [[]] * 5
+    columns = [list(c) for c in zip(*rows)] if rows else [[]] * 4
     log = ac.DeliveryLog(*columns)
     origins = draw(st.one_of(st.none(), st.lists(st.integers(1, 6), unique=True)))
     return log, horizon, warmup, origins
