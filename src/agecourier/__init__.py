@@ -38,7 +38,6 @@ from .sensing_alloc import (
     make_model,
     model_from_mu_table,
     mu,
-    marginal_benefit,
     success_probability,
     allocation_objective,
     water_fill,
@@ -59,11 +58,9 @@ from .sim_engine import (
 )
 from .analysis import (
     BoundReport,
-    PenaltyReport,
     SweepCell,
     PhaseRow,
     lower_bound,
-    transport_penalty,
     split_sweep,
     phase_comparison,
     pickup_wait_mean,

@@ -27,7 +27,6 @@ from .sensing_alloc import SensingAllocation, SensingModel, mu, success_probabil
 from .sim_engine import (
     ConfigInvalid,
     SimConfig,
-    SimResult,
     generation_mask,
     run,
     run_energy,
@@ -47,12 +46,6 @@ class BudgetTooSmall(ValueError):
 class BoundReport:
     per_node_bound: dict[int, float]
     network_bound: float
-
-
-@dataclass(frozen=True)
-class PenaltyReport:
-    per_node_delta: dict[int, float]
-    delta_avg: float
 
 
 @dataclass(frozen=True)
@@ -88,21 +81,6 @@ def lower_bound(
         for i in range(k)
     }
     return BoundReport(per_node_bound=per_node, network_bound=sum(per_node.values()) / k)
-
-
-def transport_penalty(result: SimResult, bound: BoundReport) -> PenaltyReport:
-    """Raw per-node excess of simulated age over the analytic floor.
-
-    Deliberately unclamped: sampling noise can push a tiny bit below zero, and
-    hiding that would mask accounting errors.
-    """
-    if set(result.per_node_aoi) != set(bound.per_node_bound):
-        raise DimensionMismatch("result and bound cover different node sets")
-    delta = {
-        node: result.per_node_aoi[node] - bound.per_node_bound[node]
-        for node in sorted(result.per_node_aoi)
-    }
-    return PenaltyReport(per_node_delta=delta, delta_avg=sum(delta.values()) / len(delta))
 
 
 def mean_std(values: list[float]) -> tuple[float, float]:

@@ -147,14 +147,16 @@ def parse_config(text: str) -> ExperimentConfig:
         raise field_error("allocation", f"must be one of {ALLOCATION_STRATEGIES}")
     need("n_s", allocation != "explicit")
     need("m", allocation == "explicit")
+    if m is not None and allocation != "explicit":
+        raise field_error("m", f"is read only with allocation = explicit, not {allocation}")
     if len(v["alphas"]) != k:
         raise field_error("alphas", f"got {len(v['alphas'])} values for {k} non-base nodes")
     for a in v["alphas"]:
         if not 0 < a < math.inf:
             raise field_error("alphas", f"must be finite and > 0, got {a}")
-    if m is not None and any(mi < 1 for mi in m):
-        raise field_error("m", f"every entry must be >= 1, got {min(m)}")
     if allocation == "explicit":
+        if any(mi < 1 for mi in m):
+            raise field_error("m", f"every entry must be >= 1, got {min(m)}")
         if len(m) != k:
             raise field_error("m", f"got {len(m)} entries for {k} non-base nodes")
         if n_s is not None and sum(m) != n_s:

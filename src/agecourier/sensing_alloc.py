@@ -144,29 +144,23 @@ def _validate_tables(model: SensingModel) -> None:
                 raise ConvexityViolation(i, m + 1)
 
 
-def _check_index(model: SensingModel, i: int, m: int, m_hi: int) -> None:
+def _check_index(model: SensingModel, i: int, m: int) -> None:
     if not 0 <= i < model.node_count:
         raise OutOfRange(f"node index {i} outside 0..{model.node_count - 1}")
-    if not 1 <= m <= m_hi:
-        raise OutOfRange(f"robot count {m} outside 1..{m_hi}")
+    if not 1 <= m <= model.max_m:
+        raise OutOfRange(f"robot count {m} outside 1..{model.max_m}")
 
 
 def mu(model: SensingModel, i: int, m: int) -> float:
     """Mean sensing time of node index i with m robots."""
-    _check_index(model, i, m, model.max_m)
+    _check_index(model, i, m)
     return model.mu_table[i][m - 1]
 
 
 def success_probability(model: SensingModel, i: int, m: int) -> float:
     """Per-slot completion probability of node index i with m robots."""
-    _check_index(model, i, m, model.max_m)
+    _check_index(model, i, m)
     return model.q_table[i][m - 1]
-
-
-def marginal_benefit(model: SensingModel, i: int, m: int) -> float:
-    """Drop in mean sensing time from granting node index i an m+1-th robot."""
-    _check_index(model, i, m, model.max_m - 1)
-    return model.mu_table[i][m - 1] - model.mu_table[i][m]
 
 
 def allocation_objective(model: SensingModel, alloc: SensingAllocation) -> float:

@@ -16,12 +16,14 @@ Under this order a sample generated at slot g and picked up by a conveyor
 departing baseward in the g -> g+1 transition reaches the base at g + depth.
 
 One engine serves every run. Conveyor motion never depends on sensing, and it
-is periodic: a conveyor's next move depends only on its mode, position,
-battery and walk residue, so from some slot t0 on its motion repeats.
-Unconstrained motion repeats every walk period L from slot 0; battery runs
-step each conveyor only until its state repeats. A backward earliest-arrival
-DP solves one fleet period to a fixed point, then the prefix before t0, and
-gives each slot's first delivery slot. Conveyors pick up the freshest sample,
+is periodic: the fleet's next move depends only on every conveyor's mode,
+position and battery and on the walk residue, so from some slot t0 on its
+motion repeats. Unconstrained motion repeats every walk period L from slot 0;
+battery runs step the whole fleet as one, only until its state repeats at
+a multiple of L, and a fleet with no repeat inside the horizon is solved over
+its first H slots. A backward earliest-arrival DP solves one fleet period to
+a fixed point, then the prefix before t0, and gives each slot's first
+delivery slot. Conveyors pick up the freshest sample,
 so only the last sample generated before each pickup can reach the base: the
 replay works per pickup, not per sample, and turns each node's generation
 process into its deliveries and exact ages, on one plain thread per
@@ -30,15 +32,13 @@ through the same per-node function on the calling thread when it is first
 read, and each node's events are written straight to their slots' positions
 in the log, four integers an event. Within `shared_draws`, every run reads
 each node's successes from one store, so a sweep draws each (seed, node, q,
-horizon) process once. A fleet with no cycle
-inside the horizon is solved over its first H slots. The literal per-slot
-stepper stays as the reference; the tests assert bit-identical results across
-trees, phases, and batteries.
+horizon) process once. The literal per-slot stepper stays as the
+reference, on the same fleet motion; the tests assert bit-identical results
+across trees, phases, and batteries.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from array import array
@@ -317,15 +317,15 @@ def _node_probs(model: SensingModel, alloc: SensingAllocation) -> list[float]:
 # conveyor motion, shared by both engines
 # ---------------------------------------------------------------------------
 
-def _motion(cfg: SimConfig, stats):
-    """Every conveyor's slot-0 state and the one-slot move rule under cfg.energy.
+def _fleet_states(cfg: SimConfig, stats):
+    """Yield the whole fleet's state for slots 0, 1, 2, ... under cfg.energy.
 
-    A state is [mode, position, battery]. step(c, state, nxt) moves conveyor
-    c's state on by one slot, given its nominal walk position nxt in the new
-    slot, and counts that slot in stats: four per-conveyor counter lists in
-    ConveyorEnergyStats order (recharges, charge, hold and return slots).
-    Unconstrained motion is the zero move cost case: every hop is affordable
-    and no conveyor starts docked.
+    A conveyor's state is [mode, position, battery]; the yielded list of them
+    is stepped in place. Each slot moves every conveyor on by one, given its
+    nominal walk position in the new slot, and counts that slot in stats: four
+    per-conveyor counter lists in ConveyorEnergyStats order (recharges,
+    charge, hold and return slots). Unconstrained motion is the zero move
+    cost case: every hop is affordable and no conveyor starts docked.
     """
     energy = cfg.energy or EnergyParams(b_max=1.0, e_move=0.0, r_chg=1.0)
     b_max, e_move, r_chg = energy.b_max, energy.e_move, energy.r_chg
@@ -334,7 +334,7 @@ def _motion(cfg: SimConfig, stats):
     par = [0] * cfg.graph.node_count
     for i, p in cfg.tree.parent.items():
         par[i] = p
-    w = cfg.walk.sequence
+    w, L = cfg.walk.sequence, cfg.walk.length
     phases = cfg.phase_set.phases
     # Initial charge levels are staggered: each conveyor draws a level
     # uniformly in [0, b_max) from the base-node stream (the base never
@@ -349,93 +349,51 @@ def _motion(cfg: SimConfig, stats):
     battery = (b_max * node_stream(cfg.seed, BASE).random(len(phases))).tolist()
     states = []
     for phi, b0 in zip(phases, battery):
-        p = w[phi % cfg.walk.length]
+        p = w[phi % L]
         states.append([_CHARGE, BASE, b0] if b0 < e_move * (depth[p] + 1.0) else [_FOLLOW, p, b0])
-
-    def step(c: int, s: list, nxt: int) -> None:
-        mode = s[0]
-        if mode == _FOLLOW:
-            if s[2] - e_move >= e_move * depth[nxt]:
-                s[1] = nxt
-                s[2] -= e_move
-                return
-            mode = _RETURN
-        if mode == _RETURN:
-            p = s[1]
-            if p != BASE:
-                p = par[p]
-                s[0] = _CHARGE if p == BASE else _RETURN
-                s[1] = p
-                s[2] -= e_move
-                return_slots[c] += 1
-                return
-            mode = _CHARGE
-        if mode == _CHARGE:
-            charge_slots[c] += 1
-            b = s[2] + r_chg
-            if b < b_max:
-                s[0] = _CHARGE
-                s[2] = b
-                return
-            s[2] = b_max
-            recharges[c] += 1
-        # holding at the base until the nominal position aligns
-        if nxt == BASE:
-            s[0] = _FOLLOW
-        else:
-            s[0] = _HOLD
-            hold_slots[c] += 1
-
-    return states, step
+    yield states
+    for t in count(1):
+        for c, s in enumerate(states):
+            nxt = w[(t + phases[c]) % L]
+            mode = s[0]
+            if mode == _FOLLOW:
+                if s[2] - e_move >= e_move * depth[nxt]:
+                    s[1] = nxt
+                    s[2] -= e_move
+                    continue
+                mode = _RETURN
+            if mode == _RETURN:
+                p = s[1]
+                if p != BASE:
+                    p = par[p]
+                    s[0] = _CHARGE if p == BASE else _RETURN
+                    s[1] = p
+                    s[2] -= e_move
+                    return_slots[c] += 1
+                    continue
+                mode = _CHARGE
+            if mode == _CHARGE:
+                charge_slots[c] += 1
+                b = s[2] + r_chg
+                if b < b_max:
+                    s[0] = _CHARGE
+                    s[2] = b
+                    continue
+                s[2] = b_max
+                recharges[c] += 1
+            # holding at the base until the nominal position aligns
+            if nxt == BASE:
+                s[0] = _FOLLOW
+            else:
+                s[0] = _HOLD
+                hold_slots[c] += 1
+        yield states
 
 
 def _fleet_positions(cfg: SimConfig, stats):
-    """Yield every conveyor's position for slots 0, 1, 2, ... as one tuple
-    per slot, stepping the whole fleet through every slot (see `_motion`)."""
-    states, step = _motion(cfg, stats)
-    L = cfg.walk.length
-    w = cfg.walk.sequence
-    phases = cfg.phase_set.phases
-    yield tuple(s[1] for s in states)
-    for t in count(1):
-        for c, phi in enumerate(phases):
-            step(c, states[c], w[(t + phi) % L])
-        yield tuple(s[1] for s in states)
-
-
-def _orbit(c: int, s: list, step, w, phi: int, horizon: int, stats):
-    """Step conveyor c from its slot-0 state s until the state repeats or the
-    horizon ends; return (positions, t0, period).
-
-    The next move depends only on the state and the walk residue. The state
-    is compared at multiples of the walk period L, where the residue is always
-    phi, so a repeat between slots t0 < t means the motion from t0 on repeats
-    every period = t - t0 slots. stats then gets the whole remaining cycles'
-    counts, and the partial last cycle is stepped, so it covers slots
-    1..horizon-1 as the stepper's does. positions runs from slot 0 to slot t.
-    With no repeat, positions covers the horizon and the period is the
-    horizon itself, which no fleet cycle fits in.
-    """
-    L = len(w) - 1
-    positions = [s[1]]
-    seen = {tuple(s): (0, [0] * 4)}
-    for t in range(1, horizon):
-        step(c, s, w[(t + phi) % L])
-        positions.append(s[1])
-        if t % L:
-            continue
-        counts = [col[c] for col in stats]
-        t0, before = seen.setdefault(tuple(s), (t, counts))
-        if t0 == t:
-            continue
-        period = t - t0
-        cycles, rest = divmod(horizon - 1 - t, period)
-        for col, n, n0 in zip(stats, counts, before):
-            col[c] += cycles * (n - n0)
-        for u in range(t + 1, t + 1 + rest):
-            step(c, s, w[(u + phi) % L])
-        return positions, t0, period
-    return positions, 0, horizon
+    """Every conveyor's position for slots 0, 1, 2, ..., one tuple per slot
+    (see `_fleet_states`)."""
+    return (tuple(s[1] for s in states) for states in _fleet_states(cfg, stats))
 
 
 def _energy_trace(stats) -> tuple[ConveyorEnergyStats, ...]:
@@ -671,30 +629,34 @@ def _walk_arrivals(walk_seq: tuple[int, ...], phases: tuple[int, ...]) -> _Arriv
 
 
 def _battery_arrivals(cfg: SimConfig, stats) -> _Arrivals:
-    """Battery-limited motion, with each conveyor stepped only until its
-    state repeats (see `_orbit`); stats gets the energy counters.
+    """Battery-limited motion, with the whole fleet stepped only until its
+    state repeats; stats gets the counters of slots 1..H-1, as the stepper's.
 
-    The fleet repeats from t0 = the latest conveyor prefix with P = the lcm
-    of the conveyor periods. If some conveyor does not repeat inside the
-    horizon, or t0 + P reaches it, the trajectory is the first H slots with
-    no cycle.
+    The next move depends only on the fleet's state and the walk residue. The
+    state is compared at multiples of the walk period L, where every residue
+    is its conveyor's phase, so a repeat between slots t0 < t means the motion
+    from t0 on repeats every P = t - t0 slots. stats then gets the whole
+    remaining cycles' counts, and the partial last cycle is stepped. With no
+    repeat inside the horizon, the trajectory is the first H slots with no
+    cycle.
     """
-    states, step = _motion(cfg, stats)
-    horizon = cfg.horizon
-    orbits = [
-        _orbit(c, s, step, cfg.walk.sequence, phi, horizon, stats)
-        for c, (s, phi) in enumerate(zip(states, cfg.phase_set.phases))
-    ]
-    t0 = max(start for _, start, _ in orbits)
-    period = math.lcm(*(period for _, _, period in orbits))
-    if t0 + period >= horizon:
-        t0, period = horizon - 1, 0
-    slots = np.arange(t0 + period + 1)
-    columns = [
-        np.asarray(positions)[np.where(slots < start, slots, start + (slots - start) % p)]
-        for positions, start, p in orbits
-    ]
-    return _arrivals(np.column_stack(columns).tolist(), t0, cfg.graph.node_count)
+    horizon, L = cfg.horizon, cfg.walk.length
+    fleet = _fleet_states(cfg, stats)
+    trajectory, seen = [], {}
+    for t, states in zip(range(horizon), fleet):
+        trajectory.append([s[1] for s in states])
+        if t % L:
+            continue
+        counts = [col.copy() for col in stats]
+        t0, before = seen.setdefault(tuple(map(tuple, states)), (t, counts))
+        if t0 < t:
+            cycles, rest = divmod(horizon - 1 - t, t - t0)
+            for col, now, then in zip(stats, counts, before):
+                col[:] = [n + cycles * (n - n0) for n, n0 in zip(now, then)]
+            for _ in range(rest):
+                next(fleet)
+            return _arrivals(trajectory, t0, cfg.graph.node_count)
+    return _arrivals(trajectory, horizon - 1, cfg.graph.node_count)
 
 
 def _cpu_count() -> int:

@@ -59,18 +59,6 @@ def test_bound_dimension_mismatch():
         )
 
 
-def test_transport_penalty_arithmetic():
-    cfg = ref_config(horizon=3000, warmup=300, seed=0)
-    res = checked_run(cfg)
-    bound = ac.lower_bound(cfg.model, cfg.alloc, ac.bfs_distances(cfg.graph))
-    pen = ac.transport_penalty(res, bound)
-    for node in range(1, 8):
-        assert pen.per_node_delta[node] == res.per_node_aoi[node] - bound.per_node_bound[node]
-    assert pen.delta_avg == pytest.approx(sum(pen.per_node_delta.values()) / 7)
-    with pytest.raises(DimensionMismatch):
-        ac.transport_penalty(res, ac.BoundReport(per_node_bound={1: 3.0}, network_bound=3.0))
-
-
 def test_seed_runs_is_lazy_and_dispatches_on_energy():
     cfg = ref_config(n_c=5, horizon=600, warmup=50)
     runs = ac.seed_runs(cfg, [3, -1])

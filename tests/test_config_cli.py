@@ -241,11 +241,13 @@ def test_bad_values_are_rejected():
          r"\[sensing\] alphas: must be finite and > 0, got inf"),
         ("alphas = 4, 6, 3,", "alphas = 4, 6, 0,",
          r"\[sensing\] alphas: must be finite and > 0, got 0.0"),
+        ("n_s = 10", "n_s = 10\nm = 5, 5, 5",
+         r"\[sensing\] m: is read only with allocation = explicit, not waterfill"),
     ],
     ids=["alphas", "m", "n_s", "n_c", "n_c_zero", "n_c_values", "random_draws",
          "max_m", "n_s_over_max_m", "sweep_total_over_max_m", "n_c_values_empty",
          "seeds_negative", "phase_seed_negative", "n_s_below_nodes", "sweep_total_below_nodes",
-         "m_below_one", "alphas_infinite", "alphas_zero"],
+         "m_below_one", "alphas_infinite", "alphas_zero", "m_unused"],
 )
 def test_fields_that_disagree_are_named(old, new, message):
     with pytest.raises(ac.ConfigError, match=message):

@@ -87,16 +87,7 @@ def test_index_guards():
     with pytest.raises(OutOfRange):
         ac.mu(model, 0, 4)
     with pytest.raises(OutOfRange):
-        ac.marginal_benefit(model, 0, 3)  # needs room for an m+1-th robot
-    with pytest.raises(OutOfRange):
         ac.allocation_objective(model, ac.SensingAllocation(m=(1, 1)))
-
-
-def test_marginal_benefit_matches_table():
-    model = ref_model(max_m=3)
-    for i in range(7):
-        for m in (1, 2):
-            assert ac.marginal_benefit(model, i, m) == ac.mu(model, i, m) - ac.mu(model, i, m + 1)
 
 
 def test_allocation_requires_one_robot_everywhere():

@@ -779,9 +779,61 @@ def test_node_unserved_after_the_prefix_matches_stepper():
     assert not np.any(log.delivered[log.origin == 2] >= t0)
 
 
+def _conveyor_prefixes(cfg: ac.SimConfig) -> list[int | None]:
+    """The slot from which each conveyor's own state repeats, compared at
+    multiples of the walk period inside the horizon (None: no repeat there)."""
+    L = cfg.walk.length
+    n_c = len(cfg.phase_set.phases)
+    seen = [{} for _ in range(n_c)]
+    prefixes = [None] * n_c
+    fleet = sim_engine._fleet_states(cfg, [[0] * n_c for _ in range(4)])
+    for t, states in zip(range(cfg.horizon), fleet):
+        if t % L:
+            continue
+        for c, s in enumerate(states):
+            first = seen[c].setdefault(tuple(s), t)
+            if prefixes[c] is None and first < t:
+                prefixes[c] = first
+    return prefixes
+
+
+@pytest.mark.parametrize(
+    "cfg, prefixes, cycle",
+    [
+        (
+            ref_config(n_c=3, seed=1, energy=ac.EnergyParams(b_max=6.0, e_move=1.0, r_chg=2.0)),
+            [28, 14, 14],
+            (28, 14),
+        ),
+        (
+            trend_config(b_max=40.0, seed=0, horizon=4000, warmup=0),
+            [126] + [36] * 4 + [54] + [36] * 6 + [54, 72],
+            (126, 126),
+        ),
+    ],
+    ids=["ref", "trend"],
+)
+def test_fleet_cycle_seams_match_stepper(cfg, prefixes, cycle):
+    # the conveyors repeat from different slots; the fleet from the latest
+    assert _conveyor_prefixes(cfg) == prefixes
+    assert _fleet_cycle(cfg) == cycle
+    t0, P = cycle
+    for horizon, found in [
+        (t0 + P + 1, cycle),  # the repeat falls on the last slot: no slot is left to step
+        (t0 + 2 * P, cycle),  # P - 1 slots of the next cycle are stepped
+        (t0 + P, None),  # the repeat falls one past the horizon: no cycle
+    ]:
+        short = dataclasses.replace(cfg, horizon=horizon, warmup=0)
+        assert _fleet_cycle(short) == found
+        res = _assert_matches_stepper(short)
+        assert len(res.delivery_log) > 0
+        assert sum(s.return_slots for s in res.energy_trace) > 0
+
+
 def test_fleet_period_beyond_the_horizon_matches_stepper():
-    # some conveyors repeat inside 200 slots and some do not: the lcm of their
-    # periods (a conveyor that never repeats counts the horizon) exceeds it
+    # the other conveyors' states repeat inside 200 slots, but conveyor 0's
+    # first repeats at slot 252, so the fleet's state does not repeat inside
+    # the horizon (see test_fleet_cycle_seams_match_stepper)
     cfg = trend_config(b_max=40.0, seed=0, horizon=200, warmup=20)
     assert _fleet_cycle(cfg) is None
     assert _fleet_cycle(dataclasses.replace(cfg, horizon=400)) is not None
