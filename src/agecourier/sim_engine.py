@@ -18,12 +18,12 @@ departing baseward in the g -> g+1 transition reaches the base at g + depth.
 One engine serves every run. Conveyor motion never depends on sensing, and it
 is periodic: the fleet's next move depends only on every conveyor's mode,
 position and battery and on the walk residue, so from some slot t0 on its
-motion repeats. Unconstrained motion repeats every walk period L from slot 0;
-battery runs step the whole fleet as one, only until its state repeats at
-a multiple of L, and a fleet with no repeat inside the horizon is solved over
-its first H slots. A backward earliest-arrival DP solves one fleet period to
-a fixed point, then the prefix before t0, and gives each slot's first
-delivery slot. Conveyors pick up the freshest sample,
+motion repeats. Every run steps the whole fleet as one, only until its state
+repeats at a multiple of L; unconstrained motion is the zero move cost case,
+which repeats at L (t0 = 0, period L), and a fleet with no repeat inside the
+horizon is solved over its first H slots. A backward earliest-arrival DP
+solves one fleet period to a fixed point, then the prefix before t0, and
+gives each slot's first delivery slot. Conveyors pick up the freshest sample,
 so only the last sample generated before each pickup can reach the base: the
 replay works per pickup, not per sample, and turns each node's generation
 process into its deliveries and exact ages, on one plain thread per
@@ -39,6 +39,7 @@ across trees, phases, and batteries.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from array import array
@@ -87,6 +88,8 @@ class EnergyParams:
             raise ConfigInvalid(f"b_max must be > 0, got {self.b_max}")
         if not self.e_move >= 0:
             raise ConfigInvalid(f"e_move must be >= 0, got {self.e_move}")
+        if not math.isfinite(self.e_move):
+            raise ConfigInvalid(f"e_move must be finite, got {self.e_move}")
         if not self.r_chg > 0:
             raise ConfigInvalid(f"r_chg must be > 0, got {self.r_chg}")
 
@@ -285,7 +288,9 @@ def run(cfg: SimConfig, engine: str = "table") -> SimResult:
     if cfg.energy is not None:
         raise ConfigInvalid("config carries energy parameters; use run_energy")
     if engine == "table":
-        return _replay(cfg, _walk_arrivals(cfg.walk.sequence, cfg.phase_set.phases))
+        # seed 0 for all: the seed only draws battery levels, inert at zero move cost
+        arrivals, _ = _fleet_arrivals(cfg.graph, cfg.phase_set, None, 0, cfg.horizon)
+        return _replay(cfg, arrivals)
     if engine == "stepper":
         return _run_stepper(cfg)
     raise ConfigInvalid(f"unknown engine {engine!r}")
@@ -304,9 +309,8 @@ def run_energy(cfg: SimConfig) -> SimResult:
     cfg.validate()
     if cfg.energy is None:
         raise ConfigInvalid("run_energy needs energy parameters")
-    stats = [[0] * len(cfg.phase_set.phases) for _ in range(4)]
-    arrivals = _battery_arrivals(cfg, stats)
-    return _replay(cfg, arrivals, _energy_trace(stats))
+    arrivals, trace = _fleet_arrivals(cfg.graph, cfg.phase_set, cfg.energy, cfg.seed, cfg.horizon)
+    return _replay(cfg, arrivals, trace)
 
 
 def _node_probs(model: SensingModel, alloc: SensingAllocation) -> list[float]:
@@ -317,27 +321,30 @@ def _node_probs(model: SensingModel, alloc: SensingAllocation) -> list[float]:
 # conveyor motion, shared by both engines
 # ---------------------------------------------------------------------------
 
-def _fleet_states(cfg: SimConfig, stats):
-    """Yield the whole fleet's state for slots 0, 1, 2, ... under cfg.energy.
+def _fleet_states(graph: Graph, phase_set: PhaseSet, energy: EnergyParams | None, seed: int, stats):
+    """Yield the whole fleet's state for slots 0, 1, 2, ...: phase_set's
+    conveyors on graph's walk under energy (None: unconstrained).
 
     A conveyor's state is [mode, position, battery]; the yielded list of them
     is stepped in place. Each slot moves every conveyor on by one, given its
     nominal walk position in the new slot, and counts that slot in stats: four
     per-conveyor counter lists in ConveyorEnergyStats order (recharges,
     charge, hold and return slots). Unconstrained motion is the zero move
-    cost case: every hop is affordable and no conveyor starts docked.
+    cost case: every hop is affordable and no conveyor starts docked, so
+    the seed changes nothing.
     """
-    energy = cfg.energy or EnergyParams(b_max=1.0, e_move=0.0, r_chg=1.0)
+    energy = energy or EnergyParams(b_max=1.0, e_move=0.0, r_chg=1.0)
     b_max, e_move, r_chg = energy.b_max, energy.e_move, energy.r_chg
     recharges, charge_slots, hold_slots, return_slots = stats
-    depth = cfg.tree.depth
-    par = [0] * cfg.graph.node_count
-    for i, p in cfg.tree.parent.items():
+    tree, walk = _tree_and_walk(graph)
+    depth = tree.depth
+    par = [0] * graph.node_count
+    for i, p in tree.parent.items():
         par[i] = p
-    w, L = cfg.walk.sequence, cfg.walk.length
-    phases = cfg.phase_set.phases
+    w, L = walk.sequence, walk.length
+    phases = phase_set.phases
     # Initial charge levels are staggered: each conveyor draws a level
-    # uniformly in [0, b_max) from the base-node stream (the base never
+    # uniformly in [0, b_max) from seed's base-node stream (the base never
     # senses, so this collides with no sensing stream).  A conveyor whose
     # draw covers its local reserve starts on the walk; one that cannot
     # afford a single hop plus the ride home starts docked and charging.
@@ -346,7 +353,7 @@ def _fleet_states(cfg: SimConfig, stats):
     # in lockstep, and relative cycle offsets never change afterwards
     # because every conveyor advances through the same deterministic
     # deplete/return/charge/rejoin map.
-    battery = (b_max * node_stream(cfg.seed, BASE).random(len(phases))).tolist()
+    battery = (b_max * node_stream(seed, BASE).random(len(phases))).tolist()
     states = []
     for phi, b0 in zip(phases, battery):
         p = w[phi % L]
@@ -390,12 +397,6 @@ def _fleet_states(cfg: SimConfig, stats):
         yield states
 
 
-def _fleet_positions(cfg: SimConfig, stats):
-    """Every conveyor's position for slots 0, 1, 2, ..., one tuple per slot
-    (see `_fleet_states`)."""
-    return (tuple(s[1] for s in states) for states in _fleet_states(cfg, stats))
-
-
 def _energy_trace(stats) -> tuple[ConveyorEnergyStats, ...]:
     return tuple(ConveyorEnergyStats(c, *counts) for c, counts in enumerate(zip(*stats)))
 
@@ -412,7 +413,7 @@ def _run_stepper(cfg: SimConfig) -> SimResult:
     masks = [generation_mask(cfg.seed, i + 1, qs[i], horizon).tolist() for i in range(k)]
     nc = len(cfg.phase_set.phases)
     stats = [[0] * nc for _ in range(4)]
-    positions = _fleet_positions(cfg, stats)
+    fleet = _fleet_states(cfg.graph, cfg.phase_set, cfg.energy, cfg.seed, stats)
 
     # per-robot freshest sample per origin: generation slot and sensing start
     store_g = [[-1] * k for _ in range(nc)]
@@ -431,8 +432,9 @@ def _run_stepper(cfg: SimConfig) -> SimResult:
     ev_gen: list[int] = []
     ev_del: list[int] = []
 
-    for t, pos in zip(range(horizon), positions):
+    for t, states in zip(range(horizon), fleet):
         # 1. move: the generator has placed every conveyor for slot t
+        pos = [s[1] for s in states]
 
         # 2. deliveries: collect the freshest arrival per origin this slot
         for c in range(nc):
@@ -592,7 +594,7 @@ def _backward(trajectory, x: list[int], lo: int, hi: int):
                 rev_arrive[v].append(a)
     pickups = [np.array((t[::-1], a[::-1]), dtype=np.int64) for t, a in zip(rev_times, rev_arrive)]
     for p in pickups:
-        p.setflags(write=False)  # `_walk_arrivals` shares them through its cache
+        p.setflags(write=False)  # `_fleet_arrivals` shares them through its cache
     return pickups
 
 
@@ -619,29 +621,25 @@ def _arrivals(trajectory, t0: int, node_count: int) -> _Arrivals:
 
 
 @lru_cache(maxsize=128)
-def _walk_arrivals(walk_seq: tuple[int, ...], phases: tuple[int, ...]) -> _Arrivals:
-    """Unconstrained motion repeats every walk period L from slot 0: the
-    t0 = 0, P = L case. The cache shares the result, so its pickup arrays
-    are read-only."""
-    L = len(walk_seq) - 1
-    trajectory = [[walk_seq[(t + phi) % L] for phi in phases] for t in range(L + 1)]
-    return _arrivals(trajectory, 0, L // 2 + 1)
-
-
-def _battery_arrivals(cfg: SimConfig, stats) -> _Arrivals:
-    """Battery-limited motion, with the whole fleet stepped only until its
-    state repeats; stats gets the counters of slots 1..H-1, as the stepper's.
+def _fleet_arrivals(
+    graph: Graph, phase_set: PhaseSet, energy: EnergyParams | None, seed: int, horizon: int
+) -> tuple[_Arrivals, tuple[ConveyorEnergyStats, ...]]:
+    """The arrivals of the fleet `_fleet_states` moves, stepped as one only
+    until its state repeats, and its energy trace: the counters of slots
+    1..H-1, as the stepper's.
 
     The next move depends only on the fleet's state and the walk residue. The
     state is compared at multiples of the walk period L, where every residue
     is its conveyor's phase, so a repeat between slots t0 < t means the motion
-    from t0 on repeats every P = t - t0 slots. stats then gets the whole
-    remaining cycles' counts, and the partial last cycle is stepped. With no
-    repeat inside the horizon, the trajectory is the first H slots with no
-    cycle.
+    from t0 on repeats every P = t - t0 slots; unconstrained motion repeats
+    at t = L, giving t0 = 0, P = L. The counters then get the whole remaining
+    cycles' counts, and the partial last cycle is stepped. With no repeat
+    inside the horizon, the trajectory is the first H slots with no cycle.
+    The cache shares the result, so its pickup arrays are read-only.
     """
-    horizon, L = cfg.horizon, cfg.walk.length
-    fleet = _fleet_states(cfg, stats)
+    L = phase_set.walk_length
+    stats = [[0] * len(phase_set.phases) for _ in range(4)]
+    fleet = _fleet_states(graph, phase_set, energy, seed, stats)
     trajectory, seen = [], {}
     for t, states in zip(range(horizon), fleet):
         trajectory.append([s[1] for s in states])
@@ -655,8 +653,8 @@ def _battery_arrivals(cfg: SimConfig, stats) -> _Arrivals:
                 col[:] = [n + cycles * (n - n0) for n, n0 in zip(now, then)]
             for _ in range(rest):
                 next(fleet)
-            return _arrivals(trajectory, t0, cfg.graph.node_count)
-    return _arrivals(trajectory, horizon - 1, cfg.graph.node_count)
+            return _arrivals(trajectory, t0, graph.node_count), _energy_trace(stats)
+    return _arrivals(trajectory, horizon - 1, graph.node_count), _energy_trace(stats)
 
 
 def _cpu_count() -> int:

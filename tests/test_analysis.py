@@ -172,6 +172,14 @@ def test_sweeps_draw_each_generation_process_once(mask_calls):
     assert sorted(mask_calls) == sorted(_processes(cfg, [cfg.alloc], seeds))
 
 
+def test_sweeps_build_one_fleet_arrivals_per_split():
+    # every seed of a split shares its phase set's arrivals: an unconstrained
+    # fleet's motion is not keyed on the seed
+    sim_engine._fleet_arrivals.cache_clear()
+    cells, _ = ac.split_sweep(ref_config(horizon=600, warmup=60), 10, seeds=[0, 1, 2])
+    assert sim_engine._fleet_arrivals.cache_info().misses == len(cells) == 3
+
+
 def test_shared_draws_leave_sweep_cells_unchanged(monkeypatch):
     cfg = ref_config(horizon=600, warmup=60)
     seeds = [0, 3]

@@ -259,6 +259,7 @@ def test_fields_that_disagree_are_named(old, new, message):
     [
         ("b_max", "0", r"\[energy\] b_max: must be > 0, got 0.0"),
         ("e_move", "-1", r"\[energy\] e_move: must be >= 0, got -1.0"),
+        ("e_move", "inf", r"\[energy\] e_move: must be finite, got inf"),
         ("r_chg", "nan", r"\[energy\] r_chg: must be > 0, got nan"),
     ],
 )

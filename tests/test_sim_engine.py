@@ -21,11 +21,10 @@ from agecourier.sim_engine import (
     InvalidProbability,
     UnsortedLog,
     _NEVER,
-    _battery_arrivals,
     _deliveries,
-    _fleet_positions,
+    _fleet_arrivals,
+    _fleet_states,
     _run_stepper,
-    _walk_arrivals,
 )
 
 from _support import (
@@ -300,7 +299,7 @@ def _reachable_arrays(root) -> dict[int, np.ndarray]:
 def test_a_result_holds_no_delivery_arrays_until_its_log_is_read():
     cfg = ref_config(n_c=3, horizon=1500, warmup=100)
     res = ac.run(cfg)
-    arrivals = _walk_arrivals(cfg.walk.sequence, cfg.phase_set.phases)
+    arrivals, _ = _fleet_arrivals(cfg.graph, cfg.phase_set, None, 0, cfg.horizon)
     held = _reachable_arrays(res)
     # only the scenario's and the shared schedule's own arrays
     assert held and held.keys() <= _reachable_arrays((cfg, arrivals)).keys()
@@ -572,6 +571,12 @@ def test_walk_positions_follow_offsets():
 # battery runs: arrival-DP engine against the stepper oracle
 # ---------------------------------------------------------------------------
 
+def _fleet(cfg: ac.SimConfig):
+    """The fleet states of cfg's motion, slot by slot (see `_fleet_states`)."""
+    stats = [[0] * len(cfg.phase_set.phases) for _ in range(4)]
+    return _fleet_states(cfg.graph, cfg.phase_set, cfg.energy, cfg.seed, stats)
+
+
 def _assert_matches_stepper(cfg: ac.SimConfig) -> ac.SimResult:
     fast = checked_run_energy(cfg)
     ref = _run_stepper(cfg)
@@ -622,8 +627,8 @@ def test_battery_engine_edge_cases_match_stepper():
     docked = ref_config(
         horizon=2000, seed=3, energy=ac.EnergyParams(b_max=12.0, e_move=2.0, r_chg=2.0)
     )
-    start = next(_fleet_positions(docked, [[0] * 14 for _ in range(4)]))
-    assert any(p == BASE != walk.sequence[phi] for p, phi in zip(start, docked.phase_set.phases))
+    start = next(_fleet(docked))
+    assert any(s[1] == BASE != walk.sequence[phi] for s, phi in zip(start, docked.phase_set.phases))
     _assert_matches_stepper(docked)
     # battery exactly covers the deepest return (depth 3)
     _assert_matches_stepper(
@@ -682,14 +687,12 @@ def test_arrival_dp_equals_stepper_property(cfg):
 
 
 def _arrivals_of(cfg: ac.SimConfig):
-    if cfg.energy is None:
-        return _walk_arrivals(cfg.walk.sequence, cfg.phase_set.phases)
-    return _battery_arrivals(cfg, [[0] * len(cfg.phase_set.phases) for _ in range(4)])
+    return _fleet_arrivals(cfg.graph, cfg.phase_set, cfg.energy, cfg.seed, cfg.horizon)[0]
 
 
 def _fleet_cycle(cfg: ac.SimConfig):
-    """(t0, P) of a battery fleet's cycle, or None when the run has no cycle
-    inside its horizon and solves the first H slots instead."""
+    """(t0, P) of a fleet's cycle, or None when the run has no cycle inside
+    its horizon and solves the first H slots instead."""
     arrivals = _arrivals_of(cfg)
     if arrivals.period == 0:
         return None
@@ -786,8 +789,7 @@ def _conveyor_prefixes(cfg: ac.SimConfig) -> list[int | None]:
     n_c = len(cfg.phase_set.phases)
     seen = [{} for _ in range(n_c)]
     prefixes = [None] * n_c
-    fleet = sim_engine._fleet_states(cfg, [[0] * n_c for _ in range(4)])
-    for t, states in zip(range(cfg.horizon), fleet):
+    for t, states in zip(range(cfg.horizon), _fleet(cfg)):
         if t % L:
             continue
         for c, s in enumerate(states):
@@ -855,6 +857,17 @@ def test_free_moves_repeat_with_the_walk_from_slot_zero():
     )
     assert _fleet_cycle(cfg) == (0, REF_L)
     _assert_matches_stepper(cfg)
+
+
+@pytest.mark.parametrize("n_c", [1, 3, REF_L])
+def test_unconstrained_horizons_before_the_walk_repeats_match_stepper(n_c):
+    # unconstrained motion first repeats at slot L, so a horizon of at most L
+    # is solved over its first H slots with no cycle
+    for horizon in (1, REF_L - 1, REF_L, REF_L + 1, 2 * REF_L):
+        for warmup in sorted({0, horizon // 2}):
+            cfg = ref_config(n_c=n_c, horizon=horizon, warmup=warmup)
+            _assert_identical(checked_run(cfg), _run_stepper(cfg))
+        assert _fleet_cycle(cfg) == (None if horizon <= REF_L else (0, REF_L))
 
 
 def test_docked_start_cycle_matches_stepper():
