@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .graph_core import (
     Graph,
-    DistanceMap,
     ShortestPathTree,
     build_graph,
     bfs_distances,

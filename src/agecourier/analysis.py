@@ -1,11 +1,12 @@
-"""Analytic floors, transport penalties, and experiment sweeps.
+"""Analytic floors, pickup waits, and experiment sweeps over one scenario.
 
 Every non-base node's average age is floored by 2 mu_i(m_i) - 2 + d_i: the
 sensing mean enters twice (age accrues while a sample is sensed and again
-while the next one is), and the hop distance is the minimum shipping time.
-The gap between a simulated average and this floor is the transport penalty,
-the price of the conveyor schedule. Sweeps split a fixed robot budget between
-sensing and conveying to locate the best division of labor.
+while the next one is), and the hop distance d_i, the depth of the scenario's
+shortest-path tree, is the minimum shipping time. `pickup_wait_mean` measures
+the wait from a sensing completion to the next baseward departure. Sweeps
+split a fixed robot budget between sensing and conveying to locate the best
+division of labor, and phase comparisons vary only the conveyor schedule.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .conveyor_plan import (
     random_phases,
     uniform_phases,
 )
-from .graph_core import DistanceMap, bfs_distances
-from .sensing_alloc import SensingAllocation, SensingModel, mu, success_probability, water_fill
+from .sensing_alloc import mu, success_probability, water_fill
 from .sim_engine import (
     ConfigInvalid,
     SimConfig,
@@ -32,10 +32,6 @@ from .sim_engine import (
     run_energy,
     shared_draws,
 )
-
-
-class DimensionMismatch(ValueError):
-    """Inputs describe different node sets."""
 
 
 class BudgetTooSmall(ValueError):
@@ -66,19 +62,13 @@ class PhaseRow:
     std_aoi: float
 
 
-def lower_bound(
-    model: SensingModel, alloc: SensingAllocation, distances: DistanceMap
-) -> BoundReport:
-    """Per-node analytic age floor 2 mu_i(m_i) - 2 + d_i and its network mean."""
-    k = len(distances.dist) - 1
-    if model.node_count != k or len(alloc.m) != k:
-        raise DimensionMismatch(
-            f"distances cover {k} non-base nodes, model {model.node_count}, "
-            f"allocation {len(alloc.m)}"
-        )
+def lower_bound(cfg: SimConfig) -> BoundReport:
+    """Per-node analytic age floor 2 mu_i(m_i) - 2 + d_i of the scenario `cfg`,
+    with d_i its tree depth, and the network mean; checks `cfg` as `run` does."""
+    cfg.validate()
+    k, depth = cfg.model.node_count, cfg.tree.depth
     per_node = {
-        i + 1: 2.0 * mu(model, i, alloc.m[i]) - 2.0 + distances.dist[i + 1]
-        for i in range(k)
+        i + 1: 2.0 * mu(cfg.model, i, cfg.alloc.m[i]) - 2.0 + depth[i + 1] for i in range(k)
     }
     return BoundReport(per_node_bound=per_node, network_bound=sum(per_node.values()) / k)
 
@@ -120,7 +110,6 @@ def split_sweep(cfg: SimConfig, total: int, seeds) -> tuple[list[SweepCell], Swe
     if total < k + 1:
         raise BudgetTooSmall(f"total {total} cannot cover {k} sensors plus one conveyor")
     L = cfg.walk.length
-    dist = bfs_distances(cfg.graph)
     seeds = list(seeds)
 
     cells: list[SweepCell] = []
@@ -138,7 +127,7 @@ def split_sweep(cfg: SimConfig, total: int, seeds) -> tuple[list[SweepCell], Swe
                 n_c_effective=n_c_eff,
                 mean_aoi=mean,
                 std_aoi=std,
-                bound=lower_bound(cfg.model, alloc, dist).network_bound,
+                bound=lower_bound(split).network_bound,
             )
             cells.append(cell)
             if best is None or cell.mean_aoi <= best.mean_aoi:  # ties: larger n_s wins
@@ -174,7 +163,7 @@ def phase_comparison(
         PhaseRow(
             strategy="bound",
             n_c=None,
-            mean_aoi=lower_bound(cfg.model, cfg.alloc, bfs_distances(cfg.graph)).network_bound,
+            mean_aoi=lower_bound(cfg).network_bound,
             std_aoi=0.0,
         )
     )

@@ -2,11 +2,12 @@
 emit CSV tables and optional delivery traces.
 
 Subcommands: bound | waterfill | walk | phases | audit | simulate | sweep.
-Each reads the one scenario (a SimConfig) that `_scenario` builds from the
-config and validates as `run` does, so a config that cannot be built or run
-fails every subcommand. sweep varies the scenario's allocation and phase set
-per split, phases varies only its phase set; both run unconstrained conveyors
-and reject an [energy] section.
+`main` builds the config's one scenario (a SimConfig) with `_scenario`, which
+validates it as `run` does, and hands it to the subcommand, so a config that
+cannot be built or run fails every subcommand. Each subcommand returns its
+table and `main` writes it. sweep varies the scenario's allocation and phase
+set per split, phases varies only its phase set; both run unconstrained
+conveyors and reject an [energy] section.
 Global flags: --config FILE (required), --seed N (replaces the config's seed
 list with the single seed N), --out FILE (write the CSV there instead of
 stdout; [output] csv when absent), --echo-config (print the config and exit).
@@ -35,7 +36,7 @@ from . import __version__
 from .analysis import lower_bound, mean_std, phase_comparison, seed_runs, split_sweep
 from .config import ConfigError, ExperimentConfig, field_error, load_config, render_config
 from .conveyor_plan import clustered_phases, coverage_audit, random_phases, uniform_phases
-from .graph_core import bfs_distances, build_graph
+from .graph_core import build_graph
 from .sensing_alloc import (
     SensingAllocation,
     allocation_objective,
@@ -54,7 +55,8 @@ from .sim_engine import DeliveryLog, SimConfig, shared_draws
 
 
 def _scenario(cfg: ExperimentConfig) -> SimConfig:
-    """Every subcommand reads this validated scenario; sweeps and phase comparisons vary it."""
+    """The validated scenario `main` hands to every subcommand; sweeps and phase
+    comparisons vary it."""
     graph = build_graph(cfg.node_count, cfg.edges)
     budget = cfg.n_s if cfg.n_s is not None else sum(cfg.m)
     max_m = cfg.max_m
@@ -132,18 +134,14 @@ def _comments(cfg: ExperimentConfig, with_seeds: bool = True) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bound(cfg: ExperimentConfig, out_path: str | None) -> int:
-    s = _scenario(cfg)
-    report = lower_bound(s.model, s.alloc, bfs_distances(s.graph))
+def cmd_bound(cfg: ExperimentConfig, s: SimConfig) -> str:
+    report = lower_bound(s)
     rows = [(node, b) for node, b in sorted(report.per_node_bound.items())]
     rows.append(("network", report.network_bound))
-    text = _render_csv(("node", "bound"), rows, _comments(cfg, with_seeds=False))
-    _emit(text, out_path)
-    return 0
+    return _render_csv(("node", "bound"), rows, _comments(cfg, with_seeds=False))
 
 
-def cmd_waterfill(cfg: ExperimentConfig, out_path: str | None) -> int:
-    s = _scenario(cfg)
+def cmd_waterfill(cfg: ExperimentConfig, s: SimConfig) -> str:
     model = s.model
     alloc = water_fill(model, s.alloc.total)
     rows = [
@@ -158,35 +156,27 @@ def cmd_waterfill(cfg: ExperimentConfig, out_path: str | None) -> int:
     ]
     comments = _comments(cfg, with_seeds=False)
     comments.append(f"objective: {_fmt(allocation_objective(model, alloc))}")
-    text = _render_csv(("node", "alpha", "m", "mu", "q"), rows, comments)
-    _emit(text, out_path)
-    return 0
+    return _render_csv(("node", "alpha", "m", "mu", "q"), rows, comments)
 
 
-def cmd_walk(cfg: ExperimentConfig, out_path: str | None) -> int:
-    walk = _scenario(cfg).walk
+def cmd_walk(cfg: ExperimentConfig, s: SimConfig) -> str:
+    walk = s.walk
     comments = _comments(cfg, with_seeds=False)
     comments.append(f"walk length: {walk.length}")
     rows = list(enumerate(walk.sequence))
-    text = _render_csv(("step", "node"), rows, comments)
-    _emit(text, out_path)
-    return 0
+    return _render_csv(("step", "node"), rows, comments)
 
 
-def cmd_audit(cfg: ExperimentConfig, out_path: str | None) -> int:
-    s = _scenario(cfg)
+def cmd_audit(cfg: ExperimentConfig, s: SimConfig) -> str:
     report = coverage_audit(s.walk, s.phase_set)
     lines = [f"full coverage: {'true' if report.full_coverage else 'false'}"]
     for node, slot in report.violations:
         lines.append(f"violation: node={node} slot={slot}")
-    text = "\n".join(lines) + "\n"
-    _emit(text, out_path)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
-    s = _scenario(cfg)
-    bound = lower_bound(s.model, s.alloc, bfs_distances(s.graph))
+def cmd_simulate(cfg: ExperimentConfig, s: SimConfig) -> str:
+    bound = lower_bound(s)
 
     # per-seed ages; a run builds its delivery log only when it is read, and only
     # the first seed's log is read, to be traced: that seed runs on stored draws,
@@ -204,12 +194,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_path: str | None) -> int:
     rows.append(
         ("network", net_mean, net_std, bound.network_bound, net_mean - bound.network_bound)
     )
-    text = _render_csv(("node", "mean_aoi", "std_aoi", "bound", "delta"), rows, _comments(cfg))
-    _emit(text, out_path)
-
+    # the trace is written before the table, so a trace that fails leaves no table
     if cfg.out_trace is not None:
         _write_trace(cfg.out_trace, first.delivery_log, cfg.seeds[0])
-    return 0
+    return _render_csv(("node", "mean_aoi", "std_aoi", "bound", "delta"), rows, _comments(cfg))
 
 
 _TRACE_EVENT = (
@@ -236,39 +224,31 @@ def _write_trace(path: str, log: DeliveryLog, seed: int) -> None:
             fh.write((_TRACE_EVENT * len(block)) % tuple(block.ravel().tolist()))
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_path: str | None) -> int:
+def cmd_sweep(cfg: ExperimentConfig, s: SimConfig) -> str:
     if cfg.energy is not None:
         raise ConfigError("[energy]: sweep runs unconstrained conveyors only")
     if cfg.sweep_total is None:
         raise field_error("sweep_total", "missing required field")
-    cells, best = split_sweep(_scenario(cfg), cfg.sweep_total, cfg.seeds)
+    cells, best = split_sweep(s, cfg.sweep_total, cfg.seeds)
     rows = [
         (c.n_s, c.n_c, c.mean_aoi, c.std_aoi, c.bound, int(c is best)) for c in cells
     ]
     comments = _comments(cfg)
     comments.append(f"best: n_s={best.n_s}, n_c={best.n_c}")
-    text = _render_csv(("n_s", "n_c", "mean_aoi", "std_aoi", "bound", "best"), rows, comments)
-    _emit(text, out_path)
-    return 0
+    return _render_csv(("n_s", "n_c", "mean_aoi", "std_aoi", "bound", "best"), rows, comments)
 
 
-def cmd_phases(cfg: ExperimentConfig, out_path: str | None) -> int:
+def cmd_phases(cfg: ExperimentConfig, s: SimConfig) -> str:
     if cfg.energy is not None:
         raise ConfigError("[energy]: phases runs unconstrained conveyors only")
     n_c_values = cfg.phases_n_c_values
     if n_c_values is None:
         n_c_values = (cfg.n_c,)
     rows_src = phase_comparison(
-        _scenario(cfg),
-        n_c_values,
-        cfg.seeds,
-        random_draws=cfg.phases_random_draws,
-        phase_seed=cfg.phase_seed,
+        s, n_c_values, cfg.seeds, random_draws=cfg.phases_random_draws, phase_seed=cfg.phase_seed
     )
     rows = [(r.strategy, r.n_c, r.mean_aoi, r.std_aoi) for r in rows_src]
-    text = _render_csv(("strategy", "n_c", "mean_aoi", "std_aoi"), rows, _comments(cfg))
-    _emit(text, out_path)
-    return 0
+    return _render_csv(("strategy", "n_c", "mean_aoi", "std_aoi"), rows, _comments(cfg))
 
 
 _COMMANDS = {
@@ -313,10 +293,12 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
             cfg = dataclasses.replace(cfg, seeds=(args.seed,))
         if args.echo_config:
-            _emit(render_config(cfg), args.out)
-            return 0
-        out_path = args.out if args.out is not None else cfg.out_csv
-        return _COMMANDS[args.command](cfg, out_path)
+            text, out_path = render_config(cfg), args.out
+        else:
+            text = _COMMANDS[args.command](cfg, _scenario(cfg))
+            out_path = args.out if args.out is not None else cfg.out_csv
+        _emit(text, out_path)
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,13 +53,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class DistanceMap:
-    """Hop count from every node to the base; dist[0] is 0."""
-
-    dist: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ShortestPathTree:
     """BFS tree rooted at the base.
 
@@ -111,9 +104,9 @@ def _bfs(adj: list[list[int]], node_count: int) -> list[int]:
     return dist
 
 
-def bfs_distances(g: Graph) -> DistanceMap:
-    """Hop distance from each node to the base."""
-    return DistanceMap(dist=tuple(_bfs(g.adjacency(), g.node_count)))
+def bfs_distances(g: Graph) -> tuple[int, ...]:
+    """Hop distance from each node to the base; entry 0 is 0."""
+    return tuple(_bfs(g.adjacency(), g.node_count))
 
 
 def shortest_path_tree(g: Graph) -> ShortestPathTree:

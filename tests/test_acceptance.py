@@ -33,7 +33,6 @@ from _support import (
     record_acceptance,
     ref_config,
     ref_graph,
-    ref_model,
     ref_walk,
     trend_config,
 )
@@ -417,9 +416,7 @@ def test_criterion_11b_bigger_batteries_never_hurt():
 
 
 def test_criterion_11c_energy_gap_shrinks_with_fleet_size():
-    bound = ac.lower_bound(
-        ref_model(), ac.SensingAllocation(m=REF_WATERFILL_10), ac.bfs_distances(ref_graph())
-    ).network_bound
+    bound = ac.lower_bound(ref_config(m=REF_WATERFILL_10)).network_bound
     params = ac.EnergyParams(b_max=12.0, e_move=1.0, r_chg=2.0)
     gaps = []
     for n_c in (7, 10, 14):

@@ -1,4 +1,4 @@
-"""Analytic floors, penalties, budget sweeps, and phase comparisons."""
+"""Analytic floors, pickup waits, budget sweeps, and phase comparisons."""
 
 import contextlib
 import dataclasses
@@ -10,7 +10,7 @@ import pytest
 
 import agecourier as ac
 from agecourier import analysis, sim_engine
-from agecourier.analysis import BudgetTooSmall, DimensionMismatch
+from agecourier.analysis import BudgetTooSmall
 from agecourier.sim_engine import ConfigInvalid
 
 from _support import (
@@ -20,42 +20,41 @@ from _support import (
     REF_WATERFILL_10,
     checked_run,
     ref_config,
-    ref_graph,
-    ref_model,
 )
 
 
 def test_reference_bounds_single_robot():
-    rep = ac.lower_bound(
-        ref_model(), ac.SensingAllocation((1,) * 7), ac.bfs_distances(ref_graph())
-    )
+    rep = ac.lower_bound(ref_config())
     assert rep.per_node_bound == {i + 1: REF_BOUNDS_M1[i] for i in range(7)}
     assert rep.network_bound == REF_NETWORK_M1
 
 
 def test_reference_bounds_waterfilled():
-    rep = ac.lower_bound(
-        ref_model(), ac.SensingAllocation(REF_WATERFILL_10), ac.bfs_distances(ref_graph())
-    )
+    rep = ac.lower_bound(ref_config(m=REF_WATERFILL_10))
     assert rep.per_node_bound == {1: 7.0, 2: 11.0, 3: 6.0, 4: 9.0, 5: 11.0, 6: 8.0, 7: 8.0}
     assert rep.network_bound == pytest.approx(60.0 / 7.0)
 
 
 def test_bound_single_edge():
-    g = ac.build_graph(2, [(0, 1)])
     rep = ac.lower_bound(
-        ac.make_model((2.0,), max_m=1), ac.SensingAllocation((1,)), ac.bfs_distances(g)
+        ac.SimConfig(
+            graph=ac.build_graph(2, [(0, 1)]), phase_set=ac.uniform_phases(2, 1),
+            model=ac.make_model((2.0,), max_m=1), alloc=ac.SensingAllocation((1,)),
+            horizon=10, warmup=0, seed=0,
+        )
     )
     assert rep.per_node_bound == {1: 3.0}
     assert rep.network_bound == 3.0
 
 
 def test_bound_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigInvalid):
         ac.lower_bound(
-            ac.make_model((2.0, 2.0), max_m=1),
-            ac.SensingAllocation((1, 1)),
-            ac.bfs_distances(ref_graph()),
+            dataclasses.replace(
+                ref_config(),
+                model=ac.make_model((2.0, 2.0), max_m=1),
+                alloc=ac.SensingAllocation((1, 1)),
+            )
         )
 
 
@@ -104,20 +103,19 @@ def test_split_sweep_cells_and_plateau():
 
 
 def test_split_sweep_bounds_recorded():
-    g = ref_graph()
-    cells, _ = ac.split_sweep(ref_config(horizon=600, warmup=60), 9, seeds=[0])
+    cfg = ref_config(horizon=600, warmup=60)
+    cells, _ = ac.split_sweep(cfg, 9, seeds=[0])
     model = ac.make_model(REF_ALPHAS, max_m=9)
     for cell in cells:
         alloc = ac.water_fill(model, cell.n_s)
-        expect = ac.lower_bound(model, alloc, ac.bfs_distances(g)).network_bound
+        expect = ac.lower_bound(dataclasses.replace(cfg, model=model, alloc=alloc)).network_bound
         assert cell.bound == expect
         assert cell.mean_aoi > cell.bound  # scarce conveyors always pay transport
 
 
 def test_phase_comparison_shape_and_bound_row():
-    rows = ac.phase_comparison(
-        ref_config(horizon=800, warmup=80), (3, 14), seeds=[0, 1], random_draws=2, phase_seed=5,
-    )
+    cfg = ref_config(horizon=800, warmup=80)
+    rows = ac.phase_comparison(cfg, (3, 14), seeds=[0, 1], random_draws=2, phase_seed=5)
     strategies = [r.strategy for r in rows]
     assert strategies == [
         "uniform", "clustered", "random0", "random1",
@@ -129,7 +127,7 @@ def test_phase_comparison_shape_and_bound_row():
     model = ac.make_model(REF_ALPHAS, max_m=8)
     alloc = ac.water_fill(model, 7)
     assert rows[-1].mean_aoi == ac.lower_bound(
-        model, alloc, ac.bfs_distances(ref_graph())
+        dataclasses.replace(cfg, model=model, alloc=alloc)
     ).network_bound
     # at full staffing every strategy degenerates to the same offset set
     full = [r for r in rows if r.n_c == 14]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agecourier as ac
-from agecourier import sim_engine
+from agecourier import analysis, cli, sim_engine
 from agecourier.cli import _TRACE_BLOCK, _scenario, _write_trace, main
 from agecourier.config import _FIELDS, ALLOCATION_STRATEGIES, PHASE_STRATEGIES
 
@@ -383,6 +383,43 @@ def test_cli_simulate_and_trace(tmp_path, capsys):
         assert set(rec) == {"origin", "sensing_start", "generated", "delivered", "became_freshest"}
         assert rec["delivered"] >= rec["generated"] >= rec["sensing_start"]
         assert rec["became_freshest"] is True
+
+
+def test_a_trace_that_cannot_be_written_leaves_no_table(tmp_path, capsys):
+    text = BASE_CONFIG + f"\n[output]\ntrace = {tmp_path / 'missing' / 'trace.ndjson'}\n"
+    path = write_config(tmp_path, text)
+    code, out, err = run_cli(capsys, "simulate", "--config", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    out_csv = tmp_path / "sim.csv"
+    code, out, _ = run_cli(capsys, "simulate", "--config", path, "--out", str(out_csv))
+    assert (code, out) == (2, "")
+    assert not out_csv.exists()
+
+
+def test_each_table_takes_one_bound_per_row_group(tmp_path, capsys, monkeypatch):
+    # simulate reads one floor for its whole table, sweep one per split in split order
+    seen = []
+    real = analysis.lower_bound
+
+    def counting(cfg):
+        seen.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(analysis, "lower_bound", counting)
+    monkeypatch.setattr(cli, "lower_bound", counting)
+    text = BASE_CONFIG.replace("horizon = 1500", "horizon = 600") + "\n[sweep]\ntotal = 10\n"
+    path = write_config(tmp_path, text)
+    code, out, _ = run_cli(capsys, "simulate", "--config", path)
+    assert code == 0 and len(seen) == 1
+    assert out.splitlines()[-1].split(",")[3] == "%.6g" % real(seen[0]).network_bound
+
+    seen.clear()
+    code, out, _ = run_cli(capsys, "sweep", "--config", path)
+    assert code == 0
+    assert [cfg.alloc.total for cfg in seen] == [7, 8, 9]
+    bounds = [l.split(",")[4] for l in out.splitlines() if l[:1].isdigit()]
+    assert bounds == ["%.6g" % real(cfg).network_bound for cfg in seen]
 
 
 def test_delivery_log_is_built_only_when_read(tmp_path, capsys, monkeypatch):

@@ -17,7 +17,7 @@ from _support import REF_DEPTHS, REF_EDGES, REF_NODE_COUNT, random_tree_graph, r
 
 def test_reference_distances_and_tree():
     g = ref_graph()
-    assert ac.bfs_distances(g).dist == REF_DEPTHS
+    assert ac.bfs_distances(g) == REF_DEPTHS
     tree = ac.shortest_path_tree(g)
     assert tree.depth == REF_DEPTHS
     assert tree.parent == {1: 0, 2: 0, 3: 1, 4: 2, 5: 0, 6: 5, 7: 6}
@@ -69,7 +69,7 @@ def test_parent_tiebreak_prefers_lowest_neighbor():
 def test_cycle_graph_distances():
     n = 6
     g = ac.build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    assert ac.bfs_distances(g).dist == (0, 1, 2, 3, 2, 1)
+    assert ac.bfs_distances(g) == (0, 1, 2, 3, 2, 1)
 
 
 def _floyd_warshall(node_count, edges):
@@ -97,7 +97,7 @@ def test_random_graphs_match_independent_distance_oracle():
         }
         edges = sorted(tree_edges | extra)
         g = ac.build_graph(n, edges)
-        assert list(ac.bfs_distances(g).dist) == _floyd_warshall(n, edges)
+        assert list(ac.bfs_distances(g)) == _floyd_warshall(n, edges)
         tree = ac.shortest_path_tree(g)
         # following parents must walk to the base in exactly depth steps
         for i in range(1, n):
@@ -105,7 +105,7 @@ def test_random_graphs_match_independent_distance_oracle():
             while v != 0:
                 v = tree.parent[v]
                 hops += 1
-            assert hops == tree.depth[i] == ac.bfs_distances(g).dist[i]
+            assert hops == tree.depth[i] == ac.bfs_distances(g)[i]
 
 
 def test_random_trees_depths_consistent():

@@ -605,7 +605,7 @@ def test_battery_engine_matches_stepper_on_random_trees():
         L = 2 * (n - 1)
         n_c = int(rng.integers(1, L + 1))
         e_move = float(rng.choice([0.5, 1.0, 2.0]))
-        b_max = e_move * max(ac.bfs_distances(g).dist) + float(rng.choice([0.0, 1.5, 6.0, 20.0]))
+        b_max = e_move * max(ac.bfs_distances(g)) + float(rng.choice([0.0, 1.5, 6.0, 20.0]))
         r_chg = float(rng.choice([0.5, 2.0]))
         _assert_matches_stepper(
             ac.SimConfig(
@@ -659,7 +659,7 @@ def _random_instances(draw):
         e_move = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
         slack = draw(st.sampled_from([0.0, 0.5, 2.0, 7.5, 30.0]))
         energy = ac.EnergyParams(
-            b_max=(e_move * max(ac.bfs_distances(g).dist) + slack) or 1.0,
+            b_max=(e_move * max(ac.bfs_distances(g)) + slack) or 1.0,
             e_move=e_move,
             r_chg=draw(st.floats(0.25, 5.0)),
         )
