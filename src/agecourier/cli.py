@@ -36,7 +36,7 @@ from . import __version__
 from .analysis import lower_bound, mean_std, phase_comparison, seed_runs, split_sweep
 from .config import ConfigError, ExperimentConfig, field_error, load_config, render_config
 from .conveyor_plan import clustered_phases, coverage_audit, random_phases, uniform_phases
-from .graph_core import build_graph
+from .graph_core import GraphError, build_graph
 from .sensing_alloc import (
     SensingAllocation,
     allocation_objective,
@@ -56,8 +56,12 @@ from .sim_engine import DeliveryLog, SimConfig, shared_draws
 
 def _scenario(cfg: ExperimentConfig) -> SimConfig:
     """The validated scenario `main` hands to every subcommand; sweeps and phase
-    comparisons vary it."""
-    graph = build_graph(cfg.node_count, cfg.edges)
+    comparisons vary it. A graph that cannot be built is named as `[graph]
+    edges`."""
+    try:
+        graph = build_graph(cfg.node_count, cfg.edges)
+    except GraphError as exc:
+        raise field_error("edges", str(exc)) from None
     budget = cfg.n_s if cfg.n_s is not None else sum(cfg.m)
     max_m = cfg.max_m
     if max_m is None:  # one above any budget a subcommand hands out, so it never binds

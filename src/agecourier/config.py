@@ -140,6 +140,8 @@ def parse_config(text: str) -> ExperimentConfig:
     for field in ("node_count", "edges", "alphas", "allocation", "phase_strategy", "n_c",
                   "horizon", "warmup", "seeds"):
         need(field)
+    if v["node_count"] < 2:
+        raise field_error("node_count", f"must be at least 2, got {v['node_count']}")
     k = v["node_count"] - 1
     walk_length = 2 * k  # the closed walk crosses each tree edge twice
     allocation, n_s, m, max_m = v["allocation"], v.get("n_s"), v.get("m"), v.get("max_m")

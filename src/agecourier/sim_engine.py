@@ -9,7 +9,8 @@ Within every slot t the event order is fixed:
    refreshes the base copy;
 3. every node runs one sensing trial; a success generates a sample stamped
    with this slot and the next attempt starts next slot;
-4. co-located robots gossip, each keeping the freshest sample per origin;
+4. at every non-base node, the node's cache and every conveyor there keep
+   the freshest sample per origin (conveyors at the base are empty after 2);
 5. the per-node age t - sensing_start(freshest delivered) is sampled.
 
 Under this order a sample generated at slot g and picked up by a conveyor
@@ -32,9 +33,10 @@ through the same per-node function on the calling thread when it is first
 read, and each node's events are written straight to their slots' positions
 in the log, four integers an event. Within `shared_draws`, every run reads
 each node's successes from one store, so a sweep draws each (seed, node, q,
-horizon) process once. The literal per-slot stepper stays as the
-reference, on the same fleet motion; the tests assert bit-identical results
-across trees, phases, and batteries.
+horizon) process once. The literal per-slot stepper, `run(cfg,
+engine="stepper")`, stays as the reference: it performs the five steps above
+as written, on the same fleet motion, and the tests assert bit-identical
+results across trees, phases, and batteries.
 """
 
 from __future__ import annotations
@@ -282,7 +284,7 @@ def run(cfg: SimConfig, engine: str = "table") -> SimResult:
     """Simulate an unconstrained run; identical configs give identical results.
 
     engine: "table" (default, fast periodic-schedule path) or "stepper" (the
-    literal per-slot reference loop).
+    literal reference: the module docstring's five steps, slot by slot).
     """
     cfg.validate()
     if cfg.energy is not None:
@@ -311,10 +313,6 @@ def run_energy(cfg: SimConfig) -> SimResult:
         raise ConfigInvalid("run_energy needs energy parameters")
     arrivals, trace = _fleet_arrivals(cfg.graph, cfg.phase_set, cfg.energy, cfg.seed, cfg.horizon)
     return _replay(cfg, arrivals, trace)
-
-
-def _node_probs(model: SensingModel, alloc: SensingAllocation) -> list[float]:
-    return [success_probability(model, i, mi) for i, mi in enumerate(alloc.m)]
 
 
 # ---------------------------------------------------------------------------
@@ -406,124 +404,79 @@ def _energy_trace(stats) -> tuple[ConveyorEnergyStats, ...]:
 # ---------------------------------------------------------------------------
 
 def _run_stepper(cfg: SimConfig) -> SimResult:
-    nodes = cfg.graph.node_count
-    k = nodes - 1
+    """The literal reference: the module docstring's five steps, slot by slot.
+
+    Every conveyor store, node cache and the base holds one int per origin,
+    the generation slot of its freshest sample (-1: none), so a fresher
+    sample is a larger int. Each origin maps its samples' generation slots to
+    their sensing starts as it senses them.
+    """
+    k = cfg.graph.node_count - 1
     horizon, warmup = cfg.horizon, cfg.warmup
-    qs = _node_probs(cfg.model, cfg.alloc)
-    masks = [generation_mask(cfg.seed, i + 1, qs[i], horizon).tolist() for i in range(k)]
+    masks = [
+        generation_mask(cfg.seed, o + 1, success_probability(cfg.model, o, m), horizon).tolist()
+        for o, m in enumerate(cfg.alloc.m)
+    ]
     nc = len(cfg.phase_set.phases)
     stats = [[0] * nc for _ in range(4)]
     fleet = _fleet_states(cfg.graph, cfg.phase_set, cfg.energy, cfg.seed, stats)
 
-    # per-robot freshest sample per origin: generation slot and sensing start
-    store_g = [[-1] * k for _ in range(nc)]
-    store_s = [[0] * k for _ in range(nc)]
-    cache_g = [[-1] * k for _ in range(nodes)]
-    cache_s = [[0] * k for _ in range(nodes)]
-    fresh_g = [-1] * k
-    fresh_s = [0] * k  # virtual sample with sensing start 0, so age grows as t
-    cur_start = [0] * k
+    store = [[-1] * k for _ in range(nc)]
+    cache = [[-1] * k for _ in range(k + 1)]
+    base = [-1] * k
+    start_of: list[dict[int, int]] = [{} for _ in range(k)]
+    next_start = [0] * k
+    base_start = [0] * k  # virtual sample with sensing start 0, so age grows as t
     aoi_sum = [0] * k
-    touched_slot = [-1] * k
-    touched: list[int] = []
-
-    ev_origin: list[int] = []
-    ev_start: list[int] = []
-    ev_gen: list[int] = []
-    ev_del: list[int] = []
+    events = []
 
     for t, states in zip(range(horizon), fleet):
         # 1. move: the generator has placed every conveyor for slot t
         pos = [s[1] for s in states]
 
-        # 2. deliveries: collect the freshest arrival per origin this slot
-        for c in range(nc):
-            if pos[c] != BASE:
-                continue
-            sg = store_g[c]
-            ss = store_s[c]
-            for o in range(k):
-                g = sg[o]
-                if g >= 0:
-                    if g > fresh_g[o]:
-                        fresh_g[o] = g
-                        fresh_s[o] = ss[o]
-                        if touched_slot[o] != t:
-                            touched_slot[o] = t
-                            touched.append(o)
-                    sg[o] = -1
-        if touched:
-            touched.sort()
-            for o in touched:
-                ev_origin.append(o + 1)
-                ev_start.append(fresh_s[o])
-                ev_gen.append(fresh_g[o])
-                ev_del.append(t)
-            del touched[:]
+        # 2. delivery: the freshest sample per origin on the conveyors at the
+        # base, logged if it beats the base's; those stores unload
+        docked = [store[c] for c in range(nc) if pos[c] == BASE]
+        for o in range(k):
+            g = base[o]
+            for st in docked:
+                if st[o] > g:
+                    g = st[o]
+                st[o] = -1
+            if g > base[o]:
+                base[o] = g
+                base_start[o] = start_of[o][g]
+                events.append((o + 1, base_start[o], g, t))
 
         # 3. sensing: a success generates a sample stamped with this slot
         for o in range(k):
             if masks[o][t]:
-                node = o + 1
-                cache_g[node][o] = t
-                cache_s[node][o] = cur_start[o]
-                cur_start[o] = t + 1
+                cache[o + 1][o] = t
+                start_of[o][t] = next_start[o]
+                next_start[o] = t + 1
 
-        # 4. gossip: merge freshest-per-origin among co-located robots.
-        # Conveyor stores empty at the base (step 2), so the base is a no-op.
-        groups: dict[int, list[int]] = {}
-        for c in range(nc):
-            v = pos[c]
-            if v != BASE:
-                grp = groups.get(v)
-                if grp is None:
-                    groups[v] = [c]
-                else:
-                    grp.append(c)
-        for v, cs in groups.items():
-            cg = cache_g[v]
-            csrt = cache_s[v]
-            if len(cs) == 1:
-                c = cs[0]
-                sg = store_g[c]
-                ss = store_s[c]
-                for o in range(k):
-                    a = cg[o]
-                    b = sg[o]
-                    if b > a:
-                        cg[o] = b
-                        csrt[o] = ss[o]
-                    elif a > b:
-                        sg[o] = a
-                        ss[o] = csrt[o]
-            else:
-                for o in range(k):
-                    bg = cg[o]
-                    bs = csrt[o]
-                    for c in cs:
-                        if store_g[c][o] > bg:
-                            bg = store_g[c][o]
-                            bs = store_s[c][o]
-                    if bg > cg[o]:
-                        cg[o] = bg
-                        csrt[o] = bs
-                    for c in cs:
-                        if store_g[c][o] < bg:
-                            store_g[c][o] = bg
-                            store_s[c][o] = bs
+        # 4. gossip: at every non-base node the cache and every conveyor there
+        # take the max, merged into the cache and copied back to the conveyors
+        away = [c for c in range(nc) if pos[c] != BASE]
+        for c in away:
+            here, st = cache[pos[c]], store[c]
+            for o in range(k):
+                if st[o] > here[o]:
+                    here[o] = st[o]
+        for c in away:
+            store[c][:] = cache[pos[c]]
 
         # 5. sample ages
         if t >= warmup:
             for o in range(k):
-                aoi_sum[o] += t - fresh_s[o]
+                aoi_sum[o] += t - base_start[o]
 
     n_slots = horizon - warmup
     per_node = {o + 1: aoi_sum[o] / n_slots for o in range(k)}
-    network = sum(per_node.values()) / k
-    log = DeliveryLog(ev_origin, ev_start, ev_gen, ev_del)
+    log = DeliveryLog(*np.array(events, dtype=np.int64).reshape(-1, 4).T)
     return SimResult(
         per_node_aoi=per_node,
-        network_aoi=network,
+        network_aoi=sum(per_node.values()) / k,
         energy_trace=None if cfg.energy is None else _energy_trace(stats),
         _make_log=lambda: log,
     )

@@ -205,6 +205,9 @@ def test_bad_values_are_rejected():
         ac.parse_config("not an ini file at all [")
 
 
+_GRAPH_AND_ALPHAS = BASE_CONFIG[: BASE_CONFIG.index("allocation")]  # [graph] through alphas
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
@@ -243,11 +246,17 @@ def test_bad_values_are_rejected():
          r"\[sensing\] alphas: must be finite and > 0, got 0.0"),
         ("n_s = 10", "n_s = 10\nm = 5, 5, 5",
          r"\[sensing\] m: is read only with allocation = explicit, not waterfill"),
+        (_GRAPH_AND_ALPHAS, _GRAPH_AND_ALPHAS.replace("nodes = 8", "nodes = 0")
+         .replace("alphas = 4, 6, 3, 9, 6, 8, 7", "alphas = 4"),
+         r"\[graph\] nodes: must be at least 2, got 0"),
+        (_GRAPH_AND_ALPHAS, _GRAPH_AND_ALPHAS.replace("nodes = 8", "nodes = 1")
+         .replace("alphas = 4, 6, 3, 9, 6, 8, 7", "alphas ="),
+         r"\[graph\] nodes: must be at least 2, got 1"),
     ],
     ids=["alphas", "m", "n_s", "n_c", "n_c_zero", "n_c_values", "random_draws",
          "max_m", "n_s_over_max_m", "sweep_total_over_max_m", "n_c_values_empty",
          "seeds_negative", "phase_seed_negative", "n_s_below_nodes", "sweep_total_below_nodes",
-         "m_below_one", "alphas_infinite", "alphas_zero", "m_unused"],
+         "m_below_one", "alphas_infinite", "alphas_zero", "m_unused", "nodes_zero", "nodes_one"],
 )
 def test_fields_that_disagree_are_named(old, new, message):
     with pytest.raises(ac.ConfigError, match=message):
@@ -268,6 +277,24 @@ def test_energy_errors_name_their_field(field, value, message):
     text = BASE_CONFIG + "\n[energy]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
     with pytest.raises(ac.ConfigError, match=message):
         ac.parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    ["0-1, 1-7", "0-1, 1-1, 0-2", "0-1, 1-0, 0-2", "0-1"],
+    ids=["out_of_range", "self_loop", "duplicate", "unreachable"],
+)
+def test_graph_faults_name_the_edges_field(tmp_path, capsys, edges):
+    text = (
+        f"[graph]\nnodes = 3\nedges = {edges}\n\n"
+        "[sensing]\nalphas = 2, 3\nallocation = waterfill\nn_s = 2\n\n"
+        "[conveyors]\nphases = uniform\nn_c = 2\n\n"
+        "[simulation]\nhorizon = 100\nwarmup = 0\nseeds = 0\n"
+    )
+    code = main(["bound", "--config", write_config(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: [graph] edges: ")
 
 
 def test_random_phases_require_seed():

@@ -6,6 +6,7 @@ import gc
 import sys
 import threading
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -201,6 +202,22 @@ def test_engines_bit_identical_on_random_instances():
             seed=int(rng.integers(1 << 20)),
         )
         _assert_identical(checked_run(cfg, engine="table"), checked_run(cfg, engine="stepper"))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ref_config(n_c=3), trend_config(b_max=20.0, seed=1, horizon=4000, warmup=100)],
+    ids=["reference", "battery"],
+)
+def test_stepper_oracle_fleets_meet_in_groups(cfg):
+    # the stepper merges every conveyor at a node in one rule: the fleets the
+    # equality tests step must put two or more at a non-base node, and at the base
+    at_node = at_base = 0
+    for _, states in zip(range(cfg.horizon), _fleet(cfg)):
+        counts = Counter(s[1] for s in states)
+        at_base += counts.pop(BASE, 0) >= 2
+        at_node += max(counts.values(), default=0) >= 2
+    assert at_node > 0 and at_base > 0
 
 
 @pytest.mark.parametrize(
