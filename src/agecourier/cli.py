@@ -28,6 +28,7 @@ import io
 import itertools
 import json
 import sys
+from collections.abc import Iterable
 from contextlib import nullcontext
 
 import numpy as np
@@ -46,7 +47,7 @@ from .sensing_alloc import (
     uniform_alloc,
     water_fill,
 )
-from .sim_engine import DeliveryLog, SimConfig, shared_draws
+from .sim_engine import SimConfig, shared_draws, unserved_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +181,31 @@ def cmd_audit(cfg: ExperimentConfig, s: SimConfig) -> str:
 
 
 def cmd_simulate(cfg: ExperimentConfig, s: SimConfig) -> str:
-    bound = lower_bound(s)
+    """Per-node mean and spread of the age over the seeds, against the bound.
 
-    # per-seed ages; a run builds its delivery log only when it is read, and only
-    # the first seed's log is read, to be traced: that seed runs on stored draws,
-    # so its log replays them instead of drawing the masks again
+    A run replays its deliveries only when they are read, and only the first
+    seed's are read, for the trace: they stream from `log_blocks()` to the
+    file a block at a time, so the whole log is never held. That seed runs on
+    stored draws, so its replay reads them instead of drawing the masks
+    again. With [energy], each seed whose fleet leaves some node unserved
+    (see `unserved_nodes`) gets a warning on stderr; the table is unchanged.
+    """
+    bound = lower_bound(s)
     runs = seed_runs(s, cfg.seeds)
     with shared_draws() if cfg.out_trace is not None else nullcontext():
         first = next(runs)
-    ages = [(res.per_node_aoi, res.network_aoi) for res in itertools.chain([first], runs)]
+    ages = []
+    for seed, res in zip(cfg.seeds, itertools.chain([first], runs)):
+        ages.append((res.per_node_aoi, res.network_aoi))
+        # read right after the seed's run, which has just cached its fleet motion
+        nodes = () if s.energy is None else unserved_nodes(dataclasses.replace(s, seed=seed))
+        if nodes:
+            print(
+                f"warning: [energy] b_max = {_fmt(s.energy.b_max)}, seed {seed}: no "
+                f"conveyor picks up from nodes {', '.join(map(str, nodes))} once the "
+                "fleet's motion repeats; their ages grow with the horizon",
+                file=sys.stderr,
+            )
 
     rows = []
     for node in sorted(bound.per_node_bound):
@@ -200,7 +217,7 @@ def cmd_simulate(cfg: ExperimentConfig, s: SimConfig) -> str:
     )
     # the trace is written before the table, so a trace that fails leaves no table
     if cfg.out_trace is not None:
-        _write_trace(cfg.out_trace, first.delivery_log, cfg.seeds[0])
+        _write_trace(cfg.out_trace, first.log_blocks(), cfg.seeds[0])
     return _render_csv(("node", "mean_aoi", "std_aoi", "bound", "delta"), rows, _comments(cfg))
 
 
@@ -211,21 +228,24 @@ _TRACE_EVENT = (
 _TRACE_BLOCK = 4096  # events formatted per write
 
 
-def _write_trace(path: str, log: DeliveryLog, seed: int) -> None:
+def _write_trace(path: str, blocks: Iterable[np.ndarray], seed: int) -> None:
     """One JSON object per delivery event, in delivery order, for the first seed.
 
-    Each line is exactly json.dumps of the event's dict (keys in column order,
-    default separators), written as ASCII bytes. Every event refreshed the
-    base copy, so `became_freshest` is always true and each line fills one
-    template: a block of events is formatted at once, the template repeated
-    per event and filled from the four columns interleaved event by event.
+    blocks are the log's events in order, as `SimResult.log_blocks` yields
+    them: rows of origin, sensing_start, generated and delivered. Each line
+    is exactly json.dumps of the event's dict (keys in column order, default
+    separators), written as ASCII bytes. Every event refreshed the base copy,
+    so `became_freshest` is always true and each line fills one template:
+    _TRACE_BLOCK rows are formatted at once, the template repeated per event
+    and filled from the rows' values in order.
     """
-    columns = (log.origin, log.sensing_start, log.generated, log.delivered)
     with open(path, "wb") as fh:
         fh.write(json.dumps({"version": __version__, "seed": seed}).encode() + b"\n")
-        for lo in range(0, len(log), _TRACE_BLOCK):
-            block = np.stack([c[lo : lo + _TRACE_BLOCK] for c in columns], axis=1)
-            fh.write((_TRACE_EVENT * len(block)) % tuple(block.ravel().tolist()))
+        for rows in blocks:
+            for lo in range(0, len(rows), _TRACE_BLOCK):
+                values = rows[lo : lo + _TRACE_BLOCK].ravel().tolist()
+                fh.write((_TRACE_EVENT * (len(values) // 4)) % tuple(values))
+            del rows  # not held while the next block is merged
 
 
 def cmd_sweep(cfg: ExperimentConfig, s: SimConfig) -> str:

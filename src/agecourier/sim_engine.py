@@ -29,14 +29,14 @@ so only the last sample generated before each pickup can reach the base: the
 replay works per pickup, not per sample, and turns each node's generation
 process into its deliveries and exact ages, on one plain thread per
 available CPU. A result keeps no delivery columns: its log is replayed
-through the same per-node function on the calling thread when it is first
-read, and each node's events are written straight to their slots' positions
-in the log, four integers an event. Within `shared_draws`, every run reads
-each node's successes from one store, so a sweep draws each (seed, node, q,
-horizon) process once. The literal per-slot stepper, `run(cfg,
-engine="stepper")`, stays as the reference: it performs the five steps above
-as written, on the same fleet motion, and the tests assert bit-identical
-results across trees, phases, and batteries.
+through the same per-node function on the calling thread when it is read,
+and merged in blocks of whole slots, so a reader that consumes the log in
+slot order, such as the trace writer, never holds all of it. Within
+`shared_draws`, every run reads each node's successes from one store, so a
+sweep draws each (seed, node, q, horizon) process once. The literal per-slot
+stepper, `run(cfg, engine="stepper")`, stays as the reference: it performs
+the five steps above as written, on the same fleet motion, and the tests
+assert bit-identical results across trees, phases, and batteries.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import math
 import os
 import threading
 from array import array
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -141,26 +141,46 @@ class ConveyorEnergyStats:
     return_slots: int
 
 
+_LOG_BLOCK = 65536  # at most this many events per block of a delivery log
+
+
 @dataclass(frozen=True)
 class SimResult:
-    """Exact ages of one run, and its base deliveries as `delivery_log`.
+    """Exact ages of one run, and its base deliveries as `delivery_log` or
+    as `log_blocks()`.
 
     Most callers read only the ages, so the result holds no delivery columns:
-    `_make_log` replays the run's deliveries when the log is first read,
-    places each node's events at their slots' positions (see `_merge_log`),
-    and is released then.
+    `_log` replays the run's deliveries each time they are read and gives
+    their count and their blocks (see `_log_blocks`).
     """
 
     per_node_aoi: dict[int, float]
     network_aoi: float
     energy_trace: tuple[ConveyorEnergyStats, ...] | None = None
-    _make_log: Callable[[], DeliveryLog] | None = field(default=None, repr=False, compare=False)
+    _log: Callable[[], tuple[int, Iterator[np.ndarray]]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @cached_property
     def delivery_log(self) -> DeliveryLog:
-        log = self._make_log()
-        object.__setattr__(self, "_make_log", None)
-        return log
+        """The whole log, its four columns filled block by block."""
+        n, blocks = self._log()
+        columns = [np.empty(n, dtype=np.int64) for _ in range(4)]
+        at = 0
+        for rows in blocks:
+            for i, col in enumerate(columns):
+                col[at : at + len(rows)] = rows[:, i]
+            at += len(rows)
+            del rows  # not held while the next block is merged
+        return DeliveryLog(*columns)
+
+    def log_blocks(self) -> Iterator[np.ndarray]:
+        """The log in slot order as blocks of whole slots, at most _LOG_BLOCK
+        events each: (events, 4) int32 rows of origin, sensing_start,
+        generated and delivered (`validate` keeps every slot below 2**31).
+        Each call replays the run; the reference stepper keeps its events
+        and gives them as one block."""
+        yield from self._log()[1]
 
 
 @dataclass(frozen=True)
@@ -313,6 +333,19 @@ def run_energy(cfg: SimConfig) -> SimResult:
         raise ConfigInvalid("run_energy needs energy parameters")
     arrivals, trace = _fleet_arrivals(cfg.graph, cfg.phase_set, cfg.energy, cfg.seed, cfg.horizon)
     return _replay(cfg, arrivals, trace)
+
+
+def unserved_nodes(cfg: SimConfig) -> tuple[int, ...]:
+    """The nodes that no conveyor of cfg's fleet (battery levels drawn from
+    cfg.seed) picks up from once its motion repeats: after the motion's
+    prefix the base hears nothing more from them, so their ages grow with
+    the horizon. A battery-limited fleet can lock into a cycle that skips
+    whole branches; an unconstrained one covers the walk. A fleet whose
+    motion does not repeat inside the horizon reports none."""
+    arrivals, _ = _fleet_arrivals(cfg.graph, cfg.phase_set, cfg.energy, cfg.seed, cfg.horizon)
+    if not arrivals.period:
+        return ()
+    return tuple(v for v in range(1, cfg.graph.node_count) if not arrivals.cycle[v].shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +506,12 @@ def _run_stepper(cfg: SimConfig) -> SimResult:
 
     n_slots = horizon - warmup
     per_node = {o + 1: aoi_sum[o] / n_slots for o in range(k)}
-    log = DeliveryLog(*np.array(events, dtype=np.int64).reshape(-1, 4).T)
+    rows = np.array(events, dtype=np.int32).reshape(-1, 4)
     return SimResult(
         per_node_aoi=per_node,
         network_aoi=sum(per_node.values()) / k,
         energy_trace=None if cfg.energy is None else _energy_trace(stats),
-        _make_log=lambda: log,
+        _log=lambda: (len(rows), iter((rows,))),
     )
 
 
@@ -651,8 +684,8 @@ def _replay(cfg: SimConfig, arrivals: _Arrivals, energy_trace=None) -> SimResult
     Nodes draw from their own streams, so they replay on one plain thread per
     available CPU and are collected in node order. The result holds no
     delivery columns: its log replays the same per-node deliveries, from the
-    draw store active now (see `shared_draws`), when it is first read (see
-    `_merge_log`).
+    draw store active now (see `shared_draws`), when it is read (see
+    `_log_blocks`).
     """
     k = cfg.graph.node_count - 1
     horizon, warmup = cfg.horizon, cfg.warmup
@@ -676,7 +709,7 @@ def _replay(cfg: SimConfig, arrivals: _Arrivals, energy_trace=None) -> SimResult
         per_node_aoi=per_node,
         network_aoi=network,
         energy_trace=energy_trace,
-        _make_log=partial(_merge_log, deliveries, k),
+        _log=partial(_log_blocks, deliveries, k),
     )
 
 
@@ -702,33 +735,56 @@ def _deliveries(cfg: SimConfig, arrivals: _Arrivals, draws: dict | None, node: i
     return dk, gens[j], sk
 
 
-def _merge_log(deliveries, k: int) -> DeliveryLog:
+def _log_blocks(deliveries, k: int) -> tuple[int, Iterator[np.ndarray]]:
     """Replay nodes 1..k's deliveries on the calling thread, so one node's
-    transients are held at a time, and place them into one log in slot
-    order, origins ascending within a slot.
+    transients are held at a time, and return the event count and the log's
+    blocks (see `SimResult.log_blocks`): slot order, origins ascending within
+    a slot.
 
-    A node delivers at most once per slot, so counting each slot's events
-    over the nodes' delivery slots and summing the counts gives the position
-    just past each slot's events. The nodes are placed from k down to 1:
-    each event goes one below its slot's end, which then moves down by one,
-    and each node's arrays are dropped once placed. A read holds the per-node
-    deliveries, the four log columns and one int64 per slot up to the last
-    delivery; no concatenated, sorted or gathered copy is made.
+    Each node's sensing starts, generation and delivery slots are held as
+    int32 (`validate` keeps the horizon below 2**31), 12 bytes an event; no
+    per-slot array is made. A block is 16 bytes an event, and merging it
+    holds about twice that.
     """
-    per_node = [deliveries(node) for node in range(1, k + 1)]
-    last = max((int(dk[-1]) for dk, _, _ in per_node if dk.size), default=-1)
-    end = np.zeros(last + 1, dtype=np.int64)
-    for dk, _, _ in per_node:
-        end[dk] += 1  # a node's delivery slots strictly increase: no index repeats
-    np.cumsum(end, out=end)
-    n = int(end[-1]) if end.size else 0
-    origin, start, gen, dlv = (np.empty(n, dtype=np.int64) for _ in range(4))
-    for node in range(k, 0, -1):
-        dk, gk, sk = per_node.pop()
-        end[dk] -= 1
-        at = end[dk]
-        origin[at], start[at], gen[at], dlv[at] = node, sk, gk, dk
-    return DeliveryLog(origin, start, gen, dlv)
+    per_node = []
+    for node in range(1, k + 1):
+        dk, gk, sk = deliveries(node)
+        per_node.append(np.array((sk, gk, dk), dtype=np.int32))
+    n = sum(p.shape[1] for p in per_node)
+    return n, _merge_blocks(per_node, n)
+
+
+def _merge_blocks(per_node: list[np.ndarray], n: int) -> Iterator[np.ndarray]:
+    """Each block spans the slots that _LOG_BLOCK events take at the
+    remaining events' mean rate, halved until it holds at most _LOG_BLOCK
+    events, so uneven delivery rates never grow a block past that."""
+    end = max((int(p[2, -1]) + 1 for p in per_node if p.shape[1]), default=0)
+    at, start = [0] * len(per_node), 0
+    while n:
+        span = max(1, (end - start) * _LOG_BLOCK // n)
+        while True:
+            stop = [int(np.searchsorted(p[2], start + span)) for p in per_node]
+            count = sum(stop) - sum(at)
+            if count <= _LOG_BLOCK or span == 1:  # one slot holds at most k events
+                break
+            span //= 2
+        if count:
+            yield _merged(per_node, at, stop)
+        at, start, n = stop, start + span, n - count
+
+
+def _merged(per_node: list[np.ndarray], at: list[int], stop: list[int]) -> np.ndarray:
+    """Events at[v]..stop[v] of every node v as rows in log order. Nodes are
+    gathered in ascending order, so a stable sort on the delivery slot keeps
+    origins ascending within a slot. Columns are gathered one at a time."""
+    spans = list(zip(per_node, at, stop))
+    order = np.argsort(np.concatenate([p[2, a:b] for p, a, b in spans]), kind="stable")
+    rows = np.empty((order.size, 4), dtype=np.int32)
+    nodes = np.arange(1, len(per_node) + 1, dtype=np.int32)
+    rows[:, 0] = np.repeat(nodes, np.subtract(stop, at))[order]
+    for i in range(3):
+        rows[:, i + 1] = np.concatenate([p[i, a:b] for p, a, b in spans])[order]
+    return rows
 
 
 # ---------------------------------------------------------------------------

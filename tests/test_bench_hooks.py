@@ -4,11 +4,12 @@ every function its output checks (perfbench/checks.py) call or capture must
 keep the behaviour those checks read."""
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
 
-from agecourier import analysis, config, sim_engine
+from agecourier import analysis, cli, config, sim_engine
 
 from _support import ref_config
 
@@ -46,6 +47,25 @@ def test_the_run_checks_read_the_log_and_rebuild_ages():
     for name in ("origin", "sensing_start", "generated", "delivered"):
         assert getattr(log, name).shape == (len(log),)
     assert log.became_freshest.shape == (len(log),) and log.became_freshest.all()
+
+
+def test_a_trace_written_after_the_log_was_read_equals_the_log(tmp_path, monkeypatch):
+    # In check mode every run's delivery_log is read as the run returns, and
+    # the CLI then writes the first seed's trace from the same result, which
+    # replays it again. A small block size cuts several blocks.
+    monkeypatch.setattr(sim_engine, "_LOG_BLOCK", 500)
+    cfg = ref_config(n_c=3, horizon=20_000, warmup=100, seed=2)
+    res = sim_engine.run(cfg)
+    log = res.delivery_log
+    assert len(list(res.log_blocks())) > 4
+    trace = tmp_path / "trace.ndjson"
+    cli._write_trace(str(trace), res.log_blocks(), cfg.seed)
+    with open(trace, encoding="utf-8") as fh:
+        header = json.loads(fh.readline())
+        events = [json.loads(line) for line in fh]
+    assert header["seed"] == cfg.seed and len(events) == len(log)
+    for name in ("origin", "sensing_start", "generated", "delivered", "became_freshest"):
+        assert np.array_equal([e[name] for e in events], getattr(log, name))
 
 
 def test_the_csv_check_reads_bounds_and_the_config(tmp_path):

@@ -16,7 +16,7 @@ from agecourier import analysis, cli, sim_engine
 from agecourier.cli import _TRACE_BLOCK, _scenario, _write_trace, main
 from agecourier.config import _FIELDS, ALLOCATION_STRATEGIES, PHASE_STRATEGIES
 
-from _support import REF_WATERFILL_10, checked_run, ref_config
+from _support import REF_WATERFILL_10, checked_run, ref_config, traced_peak
 
 BASE_CONFIG = """\
 [graph]
@@ -464,11 +464,11 @@ def test_delivery_log_is_built_only_when_read(tmp_path, capsys, monkeypatch):
     assert built == []
     text = BASE_CONFIG + f"\n[output]\ntrace = {tmp_path / 'trace.ndjson'}\n"
     assert run_cli(capsys, "simulate", "--config", write_config(tmp_path, text))[0] == 0
-    assert len(built) == 1  # the first of two seeds, for the trace
+    assert built == []  # the first seed's events stream to the trace in blocks
 
     res = ac.run(ref_config(horizon=300, warmup=10))
     assert res.delivery_log is res.delivery_log
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_a_traced_simulate_draws_each_mask_once(tmp_path, capsys, monkeypatch):
@@ -481,14 +481,15 @@ def test_a_traced_simulate_draws_each_mask_once(tmp_path, capsys, monkeypatch):
     assert len(draws) == len(set(draws)) == 7 * 2  # k nodes x 2 seeds
     # the trace replays the first seed's stored draws: the same events as a fresh run
     expected = tmp_path / "expected.ndjson"
-    _write_trace(str(expected), ac.run(_scenario(ac.parse_config(text))).delivery_log, 1)
+    _write_trace(str(expected), ac.run(_scenario(ac.parse_config(text))).log_blocks(), 1)
     assert trace.read_bytes() == expected.read_bytes()
 
 
 def test_trace_lines_are_json_dumps_of_each_event(tmp_path):
-    log = checked_run(ref_config(horizon=300, warmup=10, seed=8)).delivery_log
+    res = checked_run(ref_config(horizon=300, warmup=10, seed=8))
+    log = res.delivery_log
     trace = tmp_path / "trace.ndjson"
-    _write_trace(str(trace), log, 8)
+    _write_trace(str(trace), res.log_blocks(), 8)
     lines = trace.read_text(encoding="utf-8").split("\n")
     assert lines[0] == json.dumps({"version": ac.__version__, "seed": 8})
     assert lines[-1] == ""
@@ -509,14 +510,87 @@ def test_trace_writer_across_block_boundaries(tmp_path):
     sensing_start = gen - rng.integers(0, 3, n)
     delivered = gen + rng.integers(1, 9, n)
     log = ac.DeliveryLog(origin, sensing_start, gen, delivered)
+    rows = np.stack([origin, sensing_start, gen, delivered], axis=1)
     trace = tmp_path / "trace.ndjson"
-    _write_trace(str(trace), log, 3)
+    # blocks of uneven sizes, so block ends fall inside and on write chunks
+    _write_trace(str(trace), np.split(rows, [5, 5 + _TRACE_BLOCK]), 3)
     lines = trace.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + n
     names = ("origin", "sensing_start", "generated", "delivered", "became_freshest")
     for i, line in enumerate(lines[1:]):
         event = {name: getattr(log, name)[i].item() for name in names}
         assert line == json.dumps(event)
+
+
+def test_a_streamed_trace_peaks_below_a_log_read(tmp_path):
+    # The trace of an unread result holds the per-node deliveries (12 bytes
+    # an event) and one block at a time; a read also holds the whole log (32
+    # bytes an event).
+    res = ac.run(ref_config(n_c=2, horizon=400_000, warmup=0))
+    trace = tmp_path / "trace.ndjson"
+    _, written = traced_peak(lambda: _write_trace(str(trace), res.log_blocks(), 1))
+    log, read = traced_peak(lambda: res.delivery_log)
+    assert len(log) == 290_106
+    assert written < 0.6 * read
+    expected = tmp_path / "expected.ndjson"
+    _write_trace(str(expected), res.log_blocks(), 1)  # after the read, replayed again
+    assert trace.read_bytes() == expected.read_bytes()
+
+
+TREND_CONFIG = """\
+[graph]
+nodes = 10
+edges = 0-1, 1-2, 2-3, 0-4, 4-5, 5-6, 0-7, 0-8, 0-9
+
+[sensing]
+alphas = 3, 3, 3, 3, 3, 3, 3, 3, 3
+allocation = waterfill
+n_s = 9
+
+[conveyors]
+phases = uniform
+n_c = 14
+
+[simulation]
+horizon = 15000
+warmup = 1000
+seeds = 0
+
+[energy]
+b_max = 8
+e_move = 2
+r_chg = 2
+"""
+
+
+def test_simulate_reports_nodes_a_battery_fleet_leaves_unserved(tmp_path, capsys):
+    # the trend tree: b_max = 8 passes validate (depth 3 at e_move 2), but the
+    # fleet locks into a cycle that never picks up from two branches
+    path = write_config(tmp_path, TREND_CONFIG)
+    code, out, err = run_cli(capsys, "simulate", "--config", path)
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: [energy] b_max = 8, seed 0: no conveyor picks up from nodes 1, 2, 3, 6, 7 "
+        "once the fleet's motion repeats; their ages grow with the horizon"
+    ]
+    cfg = _scenario(ac.parse_config(TREND_CONFIG))
+    assert sim_engine.unserved_nodes(cfg) == (1, 2, 3, 6, 7)
+    ages = ac.run_energy(cfg).per_node_aoi
+    rows = [l.split(",") for l in out.splitlines() if l[:1].isdigit()]
+    assert [r[1] for r in rows] == ["%.6g" % ages[v] for v in range(1, 10)]
+    assert min(ages[v] for v in (1, 2, 3, 6, 7)) > 7000 > max(ages[v] for v in (4, 5, 8, 9))
+
+    # two seeds, one line each; at b_max = 12 every node is served
+    text = TREND_CONFIG.replace("seeds = 0", "seeds = 0, 1")
+    err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, text))[2]
+    assert [line.split(": no")[0] for line in err.splitlines()] == [
+        "warning: [energy] b_max = 8, seed 0",
+        "warning: [energy] b_max = 8, seed 1",
+    ]
+    text = TREND_CONFIG.replace("b_max = 8", "b_max = 12")
+    code, out, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, text))
+    assert code == 0 and err == ""
+    assert sim_engine.unserved_nodes(_scenario(ac.parse_config(text))) == ()
 
 
 def test_cli_seed_override_and_byte_identical_reruns(tmp_path, capsys):

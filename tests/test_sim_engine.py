@@ -325,7 +325,7 @@ def test_a_result_holds_no_delivery_arrays_until_its_log_is_read():
 
 
 # ---------------------------------------------------------------------------
-# the delivery log: each node's events placed at their slots' positions
+# the delivery log: each node's events merged in blocks of whole slots
 # ---------------------------------------------------------------------------
 
 def _sorted_log(cfg: ac.SimConfig) -> ac.DeliveryLog:
@@ -392,17 +392,58 @@ def test_a_long_log_places_like_a_sort(cfg):
 def test_a_log_read_peaks_below_twice_its_bytes_plus_the_slot_counter(cfg):
     # Sparse pickups (two conveyors on the reference walk) and dense ones
     # (every walk offset staffed). A read replays the nodes on the calling
-    # thread and holds the per-node deliveries (three int64 columns), the log
-    # (four int64 columns, 32 bytes an event) and one int64 per slot up to
-    # the last delivery, so its traced peak stays under twice the log's bytes
-    # plus that counter. A merge that concatenates, sorts and gathers the
-    # columns peaks near three times the log's bytes.
+    # thread and holds the per-node deliveries (three int32 columns), the log
+    # (four int64 columns, 32 bytes an event) and one block's transients, so
+    # its traced peak stays under twice the log's bytes; the bound keeps the
+    # int64 slot counter an earlier merge held. A merge that concatenates,
+    # sorts and gathers the whole columns peaks near three times the log's
+    # bytes.
     res = ac.run(cfg)
     log, peak = traced_peak(lambda: res.delivery_log)
     log_bytes = sum(getattr(log, c).nbytes for c in log.__slots__)
     counter_bytes = 8 * (int(log.delivered[-1]) + 1)
     assert len(log) > 100_000
     assert peak < 2 * log_bytes + counter_bytes
+
+
+def _concatenated(blocks) -> ac.DeliveryLog:
+    rows = list(blocks)
+    assert all(len(a) <= sim_engine._LOG_BLOCK for a in rows)
+    for a, b in zip(rows, rows[1:]):
+        assert a[-1, 3] < b[0, 3]  # blocks hold whole slots
+    return ac.DeliveryLog(*np.concatenate(rows or [np.empty((0, 4), np.int64)]).T)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ref_config(),
+        trend_config(b_max=30.0, seed=0),
+        ref_config(n_c=1, horizon=4, warmup=0),
+        ref_config(n_c=14, horizon=100_000, warmup=0),
+    ],
+    ids=["reference", "battery", "empty", "dense"],
+)
+def test_log_blocks_concatenate_to_the_log_before_and_after_a_read(cfg):
+    run = ac.run_energy if cfg.energy is not None else ac.run
+    res = run(cfg)
+    streamed = _concatenated(res.log_blocks())
+    assert _concatenated(res.log_blocks()) == streamed  # each call replays
+    log = res.delivery_log
+    assert streamed == log == run(cfg).delivery_log
+    assert _concatenated(res.log_blocks()) == log  # replayed after the read
+    if cfg.horizon == 4:
+        assert len(log) == 0 and list(res.log_blocks()) == []
+
+
+def test_log_blocks_hold_at_most_the_block_size_on_uneven_deliveries(monkeypatch):
+    # Deliveries are not spread evenly over the slots, so equal slot spans
+    # sized at the log's mean rate overfill some blocks: on this battery run
+    # (five of nine nodes unserved once the motion repeats) such spans sized
+    # for 200 events hold up to 226.
+    monkeypatch.setattr(sim_engine, "_LOG_BLOCK", 200)
+    res = ac.run_energy(trend_config(b_max=8.0, seed=0))
+    assert _concatenated(res.log_blocks()) == res.delivery_log
 
 
 def test_same_seed_reproducible_and_seeds_differ():
