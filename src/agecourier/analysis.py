@@ -48,7 +48,6 @@ class BoundReport:
 class SweepCell:
     n_s: int
     n_c: int
-    n_c_effective: int
     mean_aoi: float
     std_aoi: float
     bound: float
@@ -64,8 +63,7 @@ class PhaseRow:
 
 def lower_bound(cfg: SimConfig) -> BoundReport:
     """Per-node analytic age floor 2 mu_i(m_i) - 2 + d_i of the scenario `cfg`,
-    with d_i its tree depth, and the network mean; checks `cfg` as `run` does."""
-    cfg.validate()
+    with d_i its tree depth, and the network mean."""
     k, depth = cfg.model.node_count, cfg.tree.depth
     per_node = {
         i + 1: 2.0 * mu(cfg.model, i, cfg.alloc.m[i]) - 2.0 + depth[i + 1] for i in range(k)
@@ -100,9 +98,9 @@ def split_sweep(cfg: SimConfig, total: int, seeds) -> tuple[list[SweepCell], Swe
 
     Each split varies the scenario `cfg`: its sensing robots are water-filled
     under `cfg.model`, and its conveyors get evenly spread phases. Splits
-    asking for more conveyors than walk positions reuse the full phase set,
-    and the cell records the effective count. Returns all cells plus the
-    argmin cell (ties resolve to the larger n_s, favoring sensing once
+    asking for more conveyors than walk positions run one conveyor per walk
+    position, and the cell records the n_c asked for. Returns all cells plus
+    the argmin cell (ties resolve to the larger n_s, favoring sensing once
     conveying is saturated). A split changes one node's allocation at a time,
     so the runs share their generation processes (see `shared_draws`).
     """
@@ -117,14 +115,12 @@ def split_sweep(cfg: SimConfig, total: int, seeds) -> tuple[list[SweepCell], Swe
     with shared_draws():
         for n_s in range(k, total):
             n_c = total - n_s
-            n_c_eff = min(n_c, L)
             alloc = water_fill(cfg.model, n_s)
-            split = replace(cfg, alloc=alloc, phase_set=uniform_phases(L, n_c_eff))
+            split = replace(cfg, alloc=alloc, phase_set=uniform_phases(L, min(n_c, L)))
             mean, std = _network_mean_std(split, seeds)
             cell = SweepCell(
                 n_s=n_s,
                 n_c=n_c,
-                n_c_effective=n_c_eff,
                 mean_aoi=mean,
                 std_aoi=std,
                 bound=lower_bound(split).network_bound,
@@ -174,9 +170,8 @@ def pickup_wait_mean(cfg: SimConfig) -> float:
     """Average wait from each simulated sensing completion to the next slot a
     conveyor departs its node toward the base (0 when one departs the same
     slot), over [0, cfg.horizon) of seed cfg.seed with no warmup, from the
-    same generation streams and config checks as `run`. Waits follow the
-    unconstrained walk, so a config with energy parameters is rejected."""
-    cfg.validate()
+    same generation streams as `run`. Waits follow the unconstrained walk, so
+    a config with energy parameters is rejected."""
     if cfg.energy is not None:
         raise ConfigInvalid("pickup_wait_mean: energy-limited conveyors leave the walk")
     L = cfg.walk.length

@@ -2,8 +2,8 @@
 emit CSV tables and optional delivery traces.
 
 Subcommands: bound | waterfill | walk | phases | audit | simulate | sweep.
-`main` builds the config's one scenario (a SimConfig) with `_scenario`, which
-validates it as `run` does, and hands it to the subcommand, so a config that
+`main` builds the config's one scenario (a SimConfig, which checks itself when
+made) with `_scenario` and hands it to the subcommand, so a config that
 cannot be built or run fails every subcommand. Each subcommand returns its
 table and `main` writes it. sweep varies the scenario's allocation and phase
 set per split, phases varies only its phase set; both run unconstrained
@@ -56,7 +56,7 @@ from .sim_engine import SimConfig, shared_draws, unserved_nodes
 
 
 def _scenario(cfg: ExperimentConfig) -> SimConfig:
-    """The validated scenario `main` hands to every subcommand; sweeps and phase
+    """The scenario `main` hands to every subcommand; sweeps and phase
     comparisons vary it. A graph that cannot be built is named as `[graph]
     edges`."""
     try:
@@ -81,7 +81,7 @@ def _scenario(cfg: ExperimentConfig) -> SimConfig:
         phases = random_phases(cfg.n_c, L, cfg.phase_seed)
     else:
         phases = uniform_phases(L, cfg.n_c)
-    scenario = SimConfig(
+    return SimConfig(
         graph=graph,
         phase_set=phases,
         model=model,
@@ -91,8 +91,6 @@ def _scenario(cfg: ExperimentConfig) -> SimConfig:
         seed=cfg.seeds[0],
         energy=cfg.energy,
     )
-    scenario.validate()
-    return scenario
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,6 @@ def _check_budget(n_c: int, walk_length: int) -> None:
 def cyclic_gaps(p: PhaseSet) -> list[int]:
     """Gaps between cyclically consecutive phases; positive, summing to L."""
     phases, L = p.phases, p.walk_length
-    if len(phases) == 1:
-        return [L]
     gaps = [phases[i + 1] - phases[i] for i in range(len(phases) - 1)]
     gaps.append(L - phases[-1] + phases[0])
     return gaps

@@ -57,13 +57,26 @@ class SensingModel:
     """Per-node mean sensing times for every group size 1..max_m.
 
     mu_table[i][m - 1] is the mean completion time of node index i with m
-    robots; q_table holds the matching per-slot success probabilities.
+    robots; q_table holds the matching per-slot success probabilities. A
+    model checks its means when made: they may flatten out (the clamp at 1)
+    but never rise, and the gain of each extra robot must shrink, so
+    `water_fill` is optimal on every model.
     """
 
     alphas: tuple[float, ...]
     max_m: int
     mu_table: tuple[tuple[float, ...], ...]
     q_table: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        for i, row in enumerate(self.mu_table):
+            for m in range(1, len(row)):
+                if row[m] > row[m - 1]:
+                    raise ConvexityViolation(i, m)
+            benefits = [row[m - 1] - row[m] for m in range(1, len(row))]
+            for m in range(1, len(benefits)):
+                if benefits[m] > benefits[m - 1] + 1e-12:
+                    raise ConvexityViolation(i, m + 1)
 
     @property
     def node_count(self) -> int:
@@ -98,9 +111,7 @@ def make_model(alphas, max_m: int) -> SensingModel:
     for a in alphas:
         mu_rows.append(tuple(max(a / m, 1.0) for m in range(1, max_m + 1)))
         q_rows.append(tuple(min(m / a, 1.0) for m in range(1, max_m + 1)))
-    model = SensingModel(alphas=alphas, max_m=max_m, mu_table=tuple(mu_rows), q_table=tuple(q_rows))
-    _validate_tables(model)
-    return model
+    return SensingModel(alphas=alphas, max_m=max_m, mu_table=tuple(mu_rows), q_table=tuple(q_rows))
 
 
 def model_from_mu_table(mu_table) -> SensingModel:
@@ -121,27 +132,12 @@ def model_from_mu_table(mu_table) -> SensingModel:
         if any(not v > 0 for v in row):
             raise NonPositiveAlpha(f"mu values at index {i} must be > 0")
         q_rows.append(tuple(1.0 / v for v in row))
-    model = SensingModel(
+    return SensingModel(
         alphas=tuple(row[0] for row in rows),
         max_m=max_m,
         mu_table=rows,
         q_table=tuple(q_rows),
     )
-    _validate_tables(model)
-    return model
-
-
-def _validate_tables(model: SensingModel) -> None:
-    # means may flatten out (the clamp at 1) but never rise, and the gain of
-    # each extra robot must shrink monotonically
-    for i, row in enumerate(model.mu_table):
-        for m in range(1, len(row)):
-            if row[m] > row[m - 1]:
-                raise ConvexityViolation(i, m)
-        benefits = [row[m - 1] - row[m] for m in range(1, len(row))]
-        for m in range(1, len(benefits)):
-            if benefits[m] > benefits[m - 1] + 1e-12:
-                raise ConvexityViolation(i, m + 1)
 
 
 def _check_index(model: SensingModel, i: int, m: int) -> None:

@@ -186,7 +186,8 @@ class SimResult:
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation scenario; its tree and walk are derived from the graph.
-    Per-seed and per-cell variants are `dataclasses.replace` copies."""
+    Per-seed and per-cell variants are `dataclasses.replace` copies. Every
+    instance, each copy included, is checked by `validate` when made."""
 
     graph: Graph
     phase_set: PhaseSet
@@ -196,6 +197,9 @@ class SimConfig:
     warmup: int
     seed: int
     energy: EnergyParams | None = None
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def tree(self) -> ShortestPathTree:
@@ -306,13 +310,10 @@ def run(cfg: SimConfig, engine: str = "table") -> SimResult:
     engine: "table" (default, fast periodic-schedule path) or "stepper" (the
     literal reference: the module docstring's five steps, slot by slot).
     """
-    cfg.validate()
     if cfg.energy is not None:
         raise ConfigInvalid("config carries energy parameters; use run_energy")
     if engine == "table":
-        # seed 0 for all: the seed only draws battery levels, inert at zero move cost
-        arrivals, _ = _fleet_arrivals(cfg.graph, cfg.phase_set, None, 0, cfg.horizon)
-        return _replay(cfg, arrivals)
+        return _replay(cfg)
     if engine == "stepper":
         return _run_stepper(cfg)
     raise ConfigInvalid(f"unknown engine {engine!r}")
@@ -328,11 +329,9 @@ def run_energy(cfg: SimConfig) -> SimResult:
     accounting are identical to unconstrained runs. With e_move = 0 the detour
     logic never triggers and results match `run` bit for bit.
     """
-    cfg.validate()
     if cfg.energy is None:
         raise ConfigInvalid("run_energy needs energy parameters")
-    arrivals, trace = _fleet_arrivals(cfg.graph, cfg.phase_set, cfg.energy, cfg.seed, cfg.horizon)
-    return _replay(cfg, arrivals, trace)
+    return _replay(cfg)
 
 
 def unserved_nodes(cfg: SimConfig) -> tuple[int, ...]:
@@ -342,7 +341,7 @@ def unserved_nodes(cfg: SimConfig) -> tuple[int, ...]:
     the horizon. A battery-limited fleet can lock into a cycle that skips
     whole branches; an unconstrained one covers the walk. A fleet whose
     motion does not repeat inside the horizon reports none."""
-    arrivals, _ = _fleet_arrivals(cfg.graph, cfg.phase_set, cfg.energy, cfg.seed, cfg.horizon)
+    arrivals, _ = _fleet(cfg)
     if not arrivals.period:
         return ()
     return tuple(v for v in range(1, cfg.graph.node_count) if not arrivals.cycle[v].shape[1])
@@ -387,7 +386,7 @@ def _fleet_states(graph: Graph, phase_set: PhaseSet, energy: EnergyParams | None
     battery = (b_max * node_stream(seed, BASE).random(len(phases))).tolist()
     states = []
     for phi, b0 in zip(phases, battery):
-        p = w[phi % L]
+        p = w[phi]
         states.append([_CHARGE, BASE, b0] if b0 < e_move * (depth[p] + 1.0) else [_FOLLOW, p, b0])
     yield states
     for t in count(1):
@@ -643,6 +642,14 @@ def _fleet_arrivals(
     return _arrivals(trajectory, horizon - 1, graph.node_count), _energy_trace(stats)
 
 
+def _fleet(cfg: SimConfig) -> tuple[_Arrivals, tuple[ConveyorEnergyStats, ...]]:
+    """cfg's cached `_fleet_arrivals`, under the one key every caller shares:
+    unconstrained fleets use seed 0, since the seed only draws battery levels,
+    inert at zero move cost, so every seed of a phase set shares one build."""
+    seed = 0 if cfg.energy is None else cfg.seed
+    return _fleet_arrivals(cfg.graph, cfg.phase_set, cfg.energy, seed, cfg.horizon)
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on."""
     try:
@@ -677,9 +684,9 @@ def _thread_map(fn, items, threads: int) -> list:
     return out
 
 
-def _replay(cfg: SimConfig, arrivals: _Arrivals, energy_trace=None) -> SimResult:
-    """Run the per-node generation processes through the arrivals' pickups
-    (see `_deliveries`) and sum each node's exact ages.
+def _replay(cfg: SimConfig) -> SimResult:
+    """Run the per-node generation processes through the pickups of cfg's
+    fleet (see `_fleet` and `_deliveries`) and sum each node's exact ages.
 
     Nodes draw from their own streams, so they replay on one plain thread per
     available CPU and are collected in node order. The result holds no
@@ -689,6 +696,7 @@ def _replay(cfg: SimConfig, arrivals: _Arrivals, energy_trace=None) -> SimResult
     """
     k = cfg.graph.node_count - 1
     horizon, warmup = cfg.horizon, cfg.warmup
+    arrivals, energy_trace = _fleet(cfg)
     deliveries = partial(_deliveries, cfg, arrivals, _DRAWS.get())
 
     def age_sum(node: int) -> int:
@@ -708,7 +716,7 @@ def _replay(cfg: SimConfig, arrivals: _Arrivals, energy_trace=None) -> SimResult
     return SimResult(
         per_node_aoi=per_node,
         network_aoi=network,
-        energy_trace=energy_trace,
+        energy_trace=None if cfg.energy is None else energy_trace,
         _log=partial(_log_blocks, deliveries, k),
     )
 

@@ -82,7 +82,7 @@ def test_split_sweep_budget_guard():
         ac.split_sweep(ref_config(horizon=300, warmup=30), 7, seeds=[0])
 
 
-def test_split_sweep_cells_and_plateau():
+def test_split_sweep_cells_and_plateau(monkeypatch):
     # one non-base node: walk length 2, so any n_c above 2 reuses both offsets;
     # the sensing mean is clamped at 1 from two robots on, so the capped cells
     # are exact replicas of each other
@@ -91,9 +91,17 @@ def test_split_sweep_cells_and_plateau():
         graph=g, phase_set=ac.uniform_phases(2, 1), model=ac.make_model((2.0,), max_m=6),
         alloc=ac.SensingAllocation((1,)), horizon=1200, warmup=100, seed=0,
     )
+    fleets = []
+
+    def run(cfg):
+        fleets.append(len(cfg.phase_set.phases))
+        return sim_engine.run(cfg)
+
+    monkeypatch.setattr(analysis, "run", run)
     cells, best = ac.split_sweep(scenario, 6, seeds=[0, 1, 2])
     assert [(c.n_s, c.n_c) for c in cells] == [(1, 5), (2, 4), (3, 3), (4, 2), (5, 1)]
-    assert [c.n_c_effective for c in cells] == [2, 2, 2, 2, 1]
+    # the conveyors each split runs, once per seed
+    assert fleets == [n for n in (2, 2, 2, 2, 1) for _ in range(3)]
     by_ns = {c.n_s: c for c in cells}
     assert by_ns[2].mean_aoi == by_ns[3].mean_aoi == by_ns[4].mean_aoi
     assert by_ns[2].std_aoi == by_ns[4].std_aoi
@@ -213,7 +221,8 @@ def test_pickup_wait_rejects_energy_configs():
 
 
 def test_pickup_wait_checks_its_scenario_like_run():
-    # a phase set built for another walk, and an allocation that misses a node
+    # a phase set built for another walk, and an allocation that misses a node:
+    # neither scenario can be made, so neither reaches `run` or the waits
     cfg = ac.SimConfig(
         graph=ac.build_graph(4, [(0, 1), (1, 2), (2, 3)]),
         phase_set=ac.PhaseSet((0,), 6),
@@ -224,14 +233,12 @@ def test_pickup_wait_checks_its_scenario_like_run():
         seed=0,
     )
     assert ac.pickup_wait_mean(cfg) >= 0
-    for bad, match in (
-        (dataclasses.replace(cfg, phase_set=ac.PhaseSet((0,), 4)), "different walk length"),
-        (dataclasses.replace(cfg, alloc=ac.SensingAllocation((1, 1))), "covers 2 nodes"),
+    for change, match in (
+        ({"phase_set": ac.PhaseSet((0,), 4)}, "different walk length"),
+        ({"alloc": ac.SensingAllocation((1, 1))}, "covers 2 nodes"),
     ):
         with pytest.raises(ConfigInvalid, match=match):
-            ac.run(bad)
-        with pytest.raises(ConfigInvalid, match=match):
-            ac.pickup_wait_mean(bad)
+            dataclasses.replace(cfg, **change)
 
 
 def test_residual_life_mean_is_exact_fraction():

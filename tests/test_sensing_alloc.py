@@ -66,6 +66,12 @@ def test_model_from_mu_table_roundtrip_and_validation():
     with pytest.raises(ConvexityViolation) as exc:
         ac.model_from_mu_table(((5.0, 4.0, 1.0),))
     assert exc.value.node == 0 and exc.value.m == 2
+    # a model checks itself when made, so one built directly never reaches water_fill
+    with pytest.raises(ConvexityViolation) as exc:
+        ac.SensingModel(
+            alphas=(5.0,), max_m=3, mu_table=((5.0, 4.0, 1.0),), q_table=((0.2, 0.25, 1.0),)
+        )
+    assert exc.value.node == 0 and exc.value.m == 2
 
 
 def test_parametric_family_never_violates_convexity():

@@ -80,18 +80,22 @@ def test_node_streams_are_independent_and_stable():
 # ---------------------------------------------------------------------------
 
 def test_config_validation_errors():
+    # a scenario checks itself when made, directly or as a replace copy
     good = ref_config()
-    for bad in (
-        dataclasses.replace(good, warmup=good.horizon),
-        dataclasses.replace(good, warmup=-1),
-        dataclasses.replace(good, seed=-2),
-        dataclasses.replace(good, phase_set=ac.PhaseSet((0,), 6)),
-        dataclasses.replace(good, alloc=ac.SensingAllocation((1, 1))),
-        dataclasses.replace(good, model=ac.make_model((2.0, 2.0), max_m=2)),
-        dataclasses.replace(good, alloc=ac.SensingAllocation((9,) + (1,) * 6)),
+    fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(good)}
+    for change in (
+        {"warmup": good.horizon},
+        {"warmup": -1},
+        {"seed": -2},
+        {"phase_set": ac.PhaseSet((0,), 6)},
+        {"alloc": ac.SensingAllocation((1, 1))},
+        {"model": ac.make_model((2.0, 2.0), max_m=2)},
+        {"alloc": ac.SensingAllocation((9,) + (1,) * 6)},
     ):
         with pytest.raises(ConfigInvalid):
-            bad.validate()
+            dataclasses.replace(good, **change)
+        with pytest.raises(ConfigInvalid):
+            ac.SimConfig(**{**fields, **change})
 
 
 def test_tree_and_walk_are_derived_from_the_graph():
@@ -150,9 +154,8 @@ def test_energy_params_reject_nan(field):
 
 
 def test_battery_must_cover_deepest_return():
-    cfg = ref_config(energy=ac.EnergyParams(b_max=5.0, e_move=2.0, r_chg=2.0))
     with pytest.raises(BatteryTooSmall):
-        ac.run_energy(cfg)
+        ref_config(energy=ac.EnergyParams(b_max=5.0, e_move=2.0, r_chg=2.0))
     # equal to the deepest return cost is acceptable
     ok = ref_config(
         horizon=400, warmup=50, energy=ac.EnergyParams(b_max=6.0, e_move=2.0, r_chg=2.0)
@@ -316,12 +319,22 @@ def _reachable_arrays(root) -> dict[int, np.ndarray]:
 def test_a_result_holds_no_delivery_arrays_until_its_log_is_read():
     cfg = ref_config(n_c=3, horizon=1500, warmup=100)
     res = ac.run(cfg)
-    arrivals, _ = _fleet_arrivals(cfg.graph, cfg.phase_set, None, 0, cfg.horizon)
+    arrivals, _ = sim_engine._fleet(cfg)
     held = _reachable_arrays(res)
     # only the scenario's and the shared schedule's own arrays
     assert held and held.keys() <= _reachable_arrays((cfg, arrivals)).keys()
     log = res.delivery_log
     assert id(log.delivered) in _reachable_arrays(res)
+
+
+def test_a_run_and_its_unserved_nodes_share_one_fleet_build():
+    # an unconstrained fleet is keyed on seed 0 whatever the scenario's seed,
+    # and `unserved_nodes` reads the build the run cached
+    cfg = ref_config(n_c=3, horizon=2000, warmup=100, seed=5)
+    _fleet_arrivals.cache_clear()
+    ac.run(cfg)
+    assert sim_engine.unserved_nodes(cfg) == ()
+    assert _fleet_arrivals.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +758,7 @@ def test_arrival_dp_equals_stepper_property(cfg):
 
 
 def _arrivals_of(cfg: ac.SimConfig):
-    return _fleet_arrivals(cfg.graph, cfg.phase_set, cfg.energy, cfg.seed, cfg.horizon)[0]
+    return sim_engine._fleet(cfg)[0]
 
 
 def _fleet_cycle(cfg: ac.SimConfig):
