@@ -26,24 +26,23 @@ horizon is solved over its first H slots. A backward earliest-arrival DP
 solves one fleet period to a fixed point, then the prefix before t0, and
 gives each slot's first delivery slot. Conveyors pick up the freshest sample,
 so only the last sample generated before each pickup can reach the base: the
-replay works per pickup, not per sample, and turns each node's generation
-process into its deliveries and exact ages, on one plain thread per
-available CPU. A result keeps no delivery columns: its log is replayed
-through the same per-node function on the calling thread when it is read,
-and merged in blocks of whole slots, so a reader that consumes the log in
-slot order, such as the trace writer, never holds all of it. Within
-`shared_draws`, every run reads each node's successes from one store, so a
-sweep draws each (seed, node, q, horizon) process once. The literal per-slot
-stepper, `run(cfg, engine="stepper")`, stays as the reference: it performs
-the five steps above as written, on the same fleet motion, and the tests
-assert bit-identical results across trees, phases, and batteries.
+replay works per pickup, not per sample. It holds each node's generation
+process as uint64 words of 64 slots and finds each pickup's sample by a bit
+scan of one word, then replays the nodes in order on the calling thread. A
+result keeps no delivery columns: its log is replayed through the same
+per-node function when it is read, and merged in blocks of whole slots, so
+a reader that consumes the log in slot order, such as the trace writer,
+never holds all of it. Within `shared_draws`, every run reads each node's
+words from one store, so a sweep draws each (seed, node, q, horizon)
+process once. The literal per-slot stepper, `run(cfg, engine="stepper")`,
+stays as the reference: it performs the five steps above as written, on the
+same fleet motion, and the tests assert bit-identical results across trees,
+phases, and batteries.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from array import array
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -279,10 +278,10 @@ _DRAWS: ContextVar[dict | None] = ContextVar("_DRAWS", default=None)
 @contextmanager
 def shared_draws():
     """Within this block, runs read each node's generation process from one
-    store keyed by (seed, node, q, horizon), as the packed bits of its mask
-    (ceil(H / 8) bytes an entry); a missing entry is drawn and stored. A run
-    keeps the store it started with, so its log replays from it after the
-    block ends. The outer store comes back on exit."""
+    store keyed by (seed, node, q, horizon), as the words of its mask (see
+    `_words`; 8 * ceil(H / 64) bytes an entry); a missing entry is drawn and
+    stored. A run keeps the store it started with, so its log replays from
+    it after the block ends. The outer store comes back on exit."""
     token = _DRAWS.set({})
     try:
         yield
@@ -290,18 +289,25 @@ def shared_draws():
         _DRAWS.reset(token)
 
 
-def _successes(draws: dict | None, seed: int, node: int, q: float, horizon: int) -> np.ndarray:
-    """The slots where node's sensing succeeds, read from draws when given."""
-    if draws is None:
-        return np.flatnonzero(generation_mask(seed, node, q, horizon))
+def _words(draws: dict | None, seed: int, node: int, q: float, horizon: int):
+    """node's generation mask as native uint64 words, read from draws when
+    given, and before[w], the last success ahead of word w (-1: none).
+
+    The words are the mask's packed bits, padded with zeros to whole words
+    and read big endian: slot 64 w + i is bit 63 - i of word w, so a word
+    x's last success is its lowest set bit, slot 64 w + 64 -
+    bitwise_count(x ^ (x - 1))."""
     key = (seed, node, q, horizon)
-    packed = draws.get(key)
+    packed = None if draws is None else draws.get(key)
     if packed is None:
-        mask = generation_mask(seed, node, q, horizon)
-        draws[key] = np.packbits(mask)
-        return np.flatnonzero(mask)
-    # unpacked bits are 0 or 1, so they read as bools, which nonzero scans fastest
-    return np.flatnonzero(np.unpackbits(packed, count=horizon).view(bool))
+        bits = np.packbits(generation_mask(seed, node, q, horizon))
+        packed = np.pad(bits, (0, -bits.size % 8)).view(">u8")
+        if draws is not None:
+            draws[key] = packed
+    words = packed.astype(np.uint64)
+    last = 64 * np.arange(1, words.size + 1) - np.bitwise_count(words ^ (words - 1))
+    before = np.maximum.accumulate(np.concatenate(([-1], np.where(words, last, -1)[:-1])))
+    return words, before
 
 
 def run(cfg: SimConfig, engine: str = "table") -> SimResult:
@@ -549,8 +555,12 @@ class _Arrivals:
         wraps = -(-(horizon - int(xb[0])) // P) if b.size else 0  # periods with some X(b) < horizon
         shift = P * np.arange(wraps)[:, None]
         b, xb = (b + shift).ravel(), (xb + shift).ravel()
-        early, late = arrive < horizon, xb < horizon
-        return np.concatenate((times[early], b[late])), np.concatenate((arrive[early], xb[late]))
+        late = np.searchsorted(xb, horizon)  # X rises, so the cut is one search
+        b, xb = b[:late], xb[:late]
+        early = np.searchsorted(arrive, horizon)
+        if not early:  # no prefix pickup, as in every unconstrained run
+            return b, xb
+        return np.concatenate((times[:early], b)), np.concatenate((arrive[:early], xb))
 
 
 def _backward(trajectory, x: list[int], lo: int, hi: int):
@@ -650,46 +660,11 @@ def _fleet(cfg: SimConfig) -> tuple[_Arrivals, tuple[ConveyorEnergyStats, ...]]:
     return _fleet_arrivals(cfg.graph, cfg.phase_set, cfg.energy, seed, cfg.horizon)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _thread_map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items] on `threads` plain threads, the calling one
-    included: thread j takes every threads-th item from item j. Results come
-    back in item order; the first exception raised in any thread is re-raised
-    once every thread has stopped."""
-    out = [None] * len(items)
-    errors = []
-
-    def work(j: int) -> None:
-        try:
-            for i in range(j, len(items), threads):
-                out[i] = fn(items[i])
-        except BaseException as exc:
-            errors.append(exc)
-
-    workers = [threading.Thread(target=work, args=(j,)) for j in range(1, threads)]
-    for w in workers:
-        w.start()
-    work(0)
-    for w in workers:
-        w.join()
-    if errors:
-        raise errors[0]
-    return out
-
-
 def _replay(cfg: SimConfig) -> SimResult:
     """Run the per-node generation processes through the pickups of cfg's
     fleet (see `_fleet` and `_deliveries`) and sum each node's exact ages.
 
-    Nodes draw from their own streams, so they replay on one plain thread per
-    available CPU and are collected in node order. The result holds no
+    Nodes replay in order on the calling thread. The result holds no
     delivery columns: its log replays the same per-node deliveries, from the
     draw store active now (see `shared_draws`), when it is read (see
     `_log_blocks`).
@@ -698,24 +673,21 @@ def _replay(cfg: SimConfig) -> SimResult:
     horizon, warmup = cfg.horizon, cfg.warmup
     arrivals, energy_trace = _fleet(cfg)
     deliveries = partial(_deliveries, cfg, arrivals, _DRAWS.get())
+    n_slots = horizon - warmup
+    ramp = (warmup + horizon - 1) * n_slots // 2
 
     def age_sum(node: int) -> int:
-        # integer age sum over [warmup, horizon): piecewise t - s segments
+        # t over [warmup, horizon) is one ramp; each delivery raises the
+        # sensing start by its rise for the slots from its delivery on, as
+        # in `aoi_from_event_log`, in exact int64
         dk, _, sk = deliveries(node)
-        seg_lo = np.concatenate(([0], dk))
-        seg_hi = np.append(dk, horizon)
-        seg_s = np.concatenate(([0], sk))
-        lo = np.maximum(seg_lo, warmup)
-        width = np.maximum(seg_hi - lo, 0)
-        return int(((lo + seg_hi - 1) * width // 2 - seg_s * width).sum())
+        width = np.maximum(horizon - np.maximum(dk, warmup), 0)
+        return ramp - int((np.diff(sk, prepend=0) * width).sum())
 
-    sums = _thread_map(age_sum, range(1, k + 1), min(_cpu_count(), k))
-    n_slots = horizon - warmup
-    per_node = {node: total / n_slots for node, total in enumerate(sums, 1)}
-    network = sum(per_node.values()) / k
+    per_node = {node: age_sum(node) / n_slots for node in range(1, k + 1)}
     return SimResult(
         per_node_aoi=per_node,
-        network_aoi=network,
+        network_aoi=sum(per_node.values()) / k,
         energy_trace=None if cfg.energy is None else energy_trace,
         _log=partial(_log_blocks, deliveries, k),
     )
@@ -731,16 +703,39 @@ def _deliveries(cfg: SimConfig, arrivals: _Arrivals, draws: dict | None, node: i
     decreases (see `_backward`), so pickups come in delivery order, each
     delivery strictly refreshes the base copy, and a sample that an earlier
     pickup already took is the only repeat; no sort or refresh filter is
-    needed.
+    needed. Each sample, and its sensing start one past the sample before
+    it, is found by a scan of one word (see `_last_success`).
     """
     q = success_probability(cfg.model, node - 1, cfg.alloc.m[node - 1])
-    gens = _successes(draws, cfg.seed, node, q, cfg.horizon)
+    words, before = _words(draws, cfg.seed, node, q, cfg.horizon)
     b, dk = arrivals.pickups(node, cfg.horizon)
-    j = np.searchsorted(gens, b, "right") - 1  # the last sample at or before each pickup
-    new = np.diff(j, prepend=-1) > 0  # not taken by an earlier pickup
-    j, dk = j[new], dk[new]
-    sk = np.where(j > 0, gens[j - 1] + 1, 0)  # sensing starts one past the previous sample
-    return dk, gens[j], sk
+    gk = _last_success(words, before, b)  # the last sample at or before each pickup
+    new = np.concatenate((gk[:1] >= 0, gk[1:] != gk[:-1]))  # not taken by an earlier pickup
+    gk, dk = gk[new], dk[new]
+    return dk, gk, _last_success(words, before, gk, below=True) + 1  # one past the previous sample
+
+
+def _last_success(words: np.ndarray, before: np.ndarray, t: np.ndarray, below: bool = False):
+    """The last success at or before each slot of t (before it, when below),
+    or -1 for none, from `_words`. Shifted right by 63 - (t & 63), word
+    t >> 6 holds slot t - i as bit i, so its lowest set bit is the last
+    success; a word with none falls back to `before`. Buffers are reused,
+    so a call holds two 8-byte arrays the size of t."""
+    x = words[t >> 6]
+    buf = np.bitwise_and(t, 63)
+    np.subtract(63, buf, out=buf)
+    x >>= buf.view(np.uint64)
+    if below:
+        x &= ~np.uint64(1)  # slot t itself
+    bits = buf.view(np.uint64)
+    np.subtract(x, 1, out=bits)
+    np.bitwise_xor(x, bits, out=bits)
+    count = np.bitwise_count(bits)
+    np.add(t, 1, out=buf)
+    buf -= count
+    empty = x == 0
+    buf[empty] = before[t[empty] >> 6]
+    return buf
 
 
 def _log_blocks(deliveries, k: int) -> tuple[int, Iterator[np.ndarray]]:
