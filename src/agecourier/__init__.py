@@ -35,12 +35,10 @@ from .sensing_alloc import (
     SensingModel,
     SensingAllocation,
     make_model,
-    model_from_mu_table,
     mu,
     success_probability,
     allocation_objective,
     water_fill,
-    brute_force_alloc,
     uniform_alloc,
 )
 from .sim_engine import (
@@ -49,7 +47,6 @@ from .sim_engine import (
     SimConfig,
     SimResult,
     ConveyorEnergyStats,
-    node_stream,
     generation_mask,
     run,
     run_energy,

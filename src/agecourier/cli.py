@@ -64,10 +64,9 @@ def _scenario(cfg: ExperimentConfig) -> SimConfig:
     except GraphError as exc:
         raise field_error("edges", str(exc)) from None
     budget = cfg.n_s if cfg.n_s is not None else sum(cfg.m)
-    max_m = cfg.max_m
-    if max_m is None:  # one above any budget a subcommand hands out, so it never binds
-        max_m = max(budget, cfg.sweep_total or 0) + 1
-    model = make_model(cfg.alphas, max_m)
+    # one above the budget - (nodes - 2) robots water-filling can give one node
+    default_max_m = max(budget, cfg.sweep_total or 0) - (cfg.node_count - 1) + 2
+    model = make_model(cfg.alphas, default_max_m if cfg.max_m is None else cfg.max_m)
     if cfg.allocation == "explicit":
         alloc = SensingAllocation(m=cfg.m)
     elif cfg.allocation == "uniform":

@@ -176,6 +176,12 @@ def parse_config(text: str) -> ExperimentConfig:
     need("phase_seed", v["phase_strategy"] == "random")
     if v.get("phase_seed", 0) < 0:
         raise field_error("phase_seed", f"must be >= 0, got {v['phase_seed']}")
+    if v["warmup"] < 0:
+        raise field_error("warmup", f"must be >= 0, got {v['warmup']}")
+    if v["warmup"] >= v["horizon"]:
+        raise field_error("warmup", f"must be below horizon {v['horizon']}, got {v['warmup']}")
+    if v["horizon"] >= 2**31:  # as SimConfig.validate, for int64 age sums
+        raise field_error("horizon", f"must be < 2**31, got {v['horizon']}")
     if not v["seeds"]:
         raise field_error("seeds", "needs at least one seed")
     if min(v["seeds"]) < 0:

@@ -5,8 +5,8 @@ m robots working in parallel completes a sample in a geometric number of slots
 with success probability q_i(m) = min(m / alpha_i, 1), so the mean completion
 time is mu_i(m) = max(alpha_i / m, 1). The marginal benefit of one extra robot
 shrinks as the group grows, which is exactly the structure the greedy
-water-filling allocator needs to be optimal; a brute-force enumerator is kept
-alongside as an independent oracle.
+water-filling allocator needs to be optimal. A `SensingModel` checks every
+rule of that structure when made, however it is built.
 
 Model indices follow the alphas vector: index i corresponds to non-base node
 i + 1 once paired with a graph.
@@ -15,10 +15,7 @@ i + 1 once paired with a graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb, inf
-
-BRUTE_FORCE_LIMIT = 10**7
+from math import inf
 
 
 class NonPositiveAlpha(ValueError):
@@ -48,19 +45,16 @@ class MaxMExceeded(ValueError):
     """An allocation would push some node beyond max_m robots."""
 
 
-class InstanceTooLarge(ValueError):
-    """Brute-force enumeration would exceed the composition guard."""
-
-
 @dataclass(frozen=True)
 class SensingModel:
     """Per-node mean sensing times for every group size 1..max_m.
 
     mu_table[i][m - 1] is the mean completion time of node index i with m
     robots; q_table holds the matching per-slot success probabilities. A
-    model checks its means when made: they may flatten out (the clamp at 1)
-    but never rise, and the gain of each extra robot must shrink, so
-    `water_fill` is optimal on every model.
+    model checks every rule when made, in order: finite, positive alphas;
+    max_m >= 1; in each table, a row of max_m entries per alpha (one at
+    least); finite, positive means and probabilities in (0, 1]; and means
+    that never rise, with shrinking gains, so `water_fill` is optimal.
     """
 
     alphas: tuple[float, ...]
@@ -69,6 +63,22 @@ class SensingModel:
     q_table: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
+        for i, a in enumerate(self.alphas):
+            if not 0 < a < inf:
+                raise NonPositiveAlpha(f"alpha at index {i} must be finite and > 0, got {a}")
+        if self.max_m < 1:
+            raise OutOfRange(f"max_m must be >= 1, got {self.max_m}")
+        k = len(self.alphas)
+        if k == 0:
+            raise OutOfRange("a model needs at least one node")
+        for name, table in (("mu_table", self.mu_table), ("q_table", self.q_table)):
+            if len(table) != k or any(len(row) != self.max_m for row in table):
+                raise OutOfRange(f"{name} must hold {k} rows of max_m={self.max_m} entries")
+        for i, (mu_row, q_row) in enumerate(zip(self.mu_table, self.q_table)):
+            if not all(0 < v < inf for v in mu_row):
+                raise NonPositiveAlpha(f"mu values at index {i} must be finite and > 0")
+            if not all(0 < v <= 1 for v in q_row):
+                raise OutOfRange(f"q values at index {i} must be in (0, 1]")
         for i, row in enumerate(self.mu_table):
             for m in range(1, len(row)):
                 if row[m] > row[m - 1]:
@@ -99,44 +109,14 @@ class SensingAllocation:
 
 
 def make_model(alphas, max_m: int) -> SensingModel:
-    """Build the clamped parametric model from per-node workloads."""
+    """Build the clamped parametric model's tables; the model checks them."""
     alphas = tuple(float(a) for a in alphas)
-    for i, a in enumerate(alphas):
-        if not 0 < a < inf:
-            raise NonPositiveAlpha(f"alpha at index {i} must be finite and > 0, got {a}")
-    if max_m < 1:
-        raise OutOfRange(f"max_m must be >= 1, got {max_m}")
-    mu_rows = []
-    q_rows = []
-    for a in alphas:
-        mu_rows.append(tuple(max(a / m, 1.0) for m in range(1, max_m + 1)))
-        q_rows.append(tuple(min(m / a, 1.0) for m in range(1, max_m + 1)))
-    return SensingModel(alphas=alphas, max_m=max_m, mu_table=tuple(mu_rows), q_table=tuple(q_rows))
-
-
-def model_from_mu_table(mu_table) -> SensingModel:
-    """Build a model from explicit per-node mean sensing times.
-
-    Accepts any table of positive, nonincreasing means with diminishing
-    marginal benefit; success probabilities are the reciprocals. alphas are
-    recorded as the single-robot means.
-    """
-    rows = tuple(tuple(float(v) for v in row) for row in mu_table)
-    if not rows or not rows[0]:
-        raise OutOfRange("mu table must have at least one node and one column")
-    max_m = len(rows[0])
-    if any(len(row) != max_m for row in rows):
-        raise OutOfRange("all mu table rows must have the same length")
-    q_rows = []
-    for i, row in enumerate(rows):
-        if any(not v > 0 for v in row):
-            raise NonPositiveAlpha(f"mu values at index {i} must be > 0")
-        q_rows.append(tuple(1.0 / v for v in row))
+    ms = range(1, max_m + 1)
     return SensingModel(
-        alphas=tuple(row[0] for row in rows),
+        alphas=alphas,
         max_m=max_m,
-        mu_table=rows,
-        q_table=tuple(q_rows),
+        mu_table=tuple(tuple(max(a / m, 1.0) for m in ms) for a in alphas),
+        q_table=tuple(tuple(1.0 if m >= a else m / a for m in ms) for a in alphas),
     )
 
 
@@ -188,34 +168,6 @@ def water_fill(model: SensingModel, n_s: int) -> SensingAllocation:
             raise MaxMExceeded(f"all nodes already at max_m={model.max_m}")
         m[best_i] += 1
     return SensingAllocation(m=tuple(m))
-
-
-def brute_force_alloc(model: SensingModel, n_s: int) -> SensingAllocation:
-    """Independent oracle: enumerate every allocation of n_s robots with at
-    least one per node, minimizing the summed mean sensing time; ties resolve
-    to the lexicographically smallest allocation."""
-    k = model.node_count
-    if n_s < k:
-        raise InsufficientBudget(f"need at least {k} robots, got {n_s}")
-    count = comb(n_s - 1, k - 1)
-    if count > BRUTE_FORCE_LIMIT:
-        raise InstanceTooLarge(f"{count} compositions exceed {BRUTE_FORCE_LIMIT}")
-    best_m = None
-    best_obj = None
-    for dividers in combinations(range(1, n_s), k - 1):
-        bounds = (0,) + dividers + (n_s,)
-        parts = tuple(bounds[j + 1] - bounds[j] for j in range(k))
-        if any(p > model.max_m for p in parts):
-            continue
-        obj = sum(model.mu_table[i][p - 1] for i, p in enumerate(parts))
-        # compositions enumerate in lexicographic order, so a strict < keeps
-        # the lexicographically smallest among exact ties
-        if best_obj is None or obj < best_obj:
-            best_obj = obj
-            best_m = parts
-    if best_m is None:
-        raise MaxMExceeded(f"no allocation of {n_s} fits under max_m={model.max_m}")
-    return SensingAllocation(m=best_m)
 
 
 def uniform_alloc(model: SensingModel, n_s: int) -> SensingAllocation:

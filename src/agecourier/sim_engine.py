@@ -242,7 +242,7 @@ def _tree_and_walk(graph: Graph) -> tuple[ShortestPathTree, EulerWalk]:
     return tree, euler_walk(tree)
 
 
-def node_stream(seed: int, node: int) -> np.random.Generator:
+def _node_stream(seed: int, node: int) -> np.random.Generator:
     """Independent per-node random stream derived from (seed, node index),
     so results never depend on node iteration order."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, node])))
@@ -261,7 +261,7 @@ def generation_mask(seed: int, node: int, q: float, horizon: int) -> np.ndarray:
     """
     if not 0.0 < q <= 1.0:
         raise InvalidProbability(f"q must be in (0, 1], got {q}")
-    stream = node_stream(seed, node)
+    stream = _node_stream(seed, node)
     mask = np.empty(horizon, dtype=bool)
     buf = np.empty(min(horizon, _DRAW_BLOCK))
     for lo in range(0, horizon, _DRAW_BLOCK):
@@ -389,7 +389,7 @@ def _fleet_states(graph: Graph, phase_set: PhaseSet, energy: EnergyParams | None
     # in lockstep, and relative cycle offsets never change afterwards
     # because every conveyor advances through the same deterministic
     # deplete/return/charge/rejoin map.
-    battery = (b_max * node_stream(seed, BASE).random(len(phases))).tolist()
+    battery = (b_max * _node_stream(seed, BASE).random(len(phases))).tolist()
     states = []
     for phi, b0 in zip(phases, battery):
         p = w[phi]
@@ -682,7 +682,9 @@ def _replay(cfg: SimConfig) -> SimResult:
         # in `aoi_from_event_log`, in exact int64
         dk, _, sk = deliveries(node)
         width = np.maximum(horizon - np.maximum(dk, warmup), 0)
-        return ramp - int((np.diff(sk, prepend=0) * width).sum())
+        rise = sk.copy()
+        rise[1:] -= sk[:-1]
+        return ramp - int((rise * width).sum())
 
     per_node = {node: age_sum(node) / n_slots for node in range(1, k + 1)}
     return SimResult(

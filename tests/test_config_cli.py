@@ -338,7 +338,8 @@ def test_cli_waterfill(tmp_path, capsys):
 
 
 def test_cli_waterfill_explicit_budget_is_sum_of_m(tmp_path, capsys):
-    # with no max_m the cap is the budget sum(m) + 1, not max(m) + 1
+    # with no max_m the cap is sum(m) - (nodes - 1) + 2 = 5, one above the 4
+    # robots water-filling the budget sum(m) can give one node, not max(m) + 1
     text = """\
 [graph]
 nodes = 4
@@ -364,6 +365,36 @@ seeds = 0
     ms = [int(l.split(",")[2]) for l in lines if l[:1].isdigit()]
     assert ms == [4, 1, 1]
     assert "# objective: 27" in lines
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_experiment_configs())
+def test_default_max_m_never_binds(cfg):
+    # every budget a subcommand water-fills: the scenario's (n_s, or sum(m)
+    # for explicit), and each sweep split's n_s; batteries play no part
+    s = _scenario(dataclasses.replace(cfg, max_m=None, energy=None))
+    k = cfg.node_count - 1
+    budget = s.alloc.total
+    assert s.model.max_m == max(budget, cfg.sweep_total or 0) - k + 2
+    for n_s in {budget, *range(k, cfg.sweep_total or 0)}:
+        uncapped = ac.make_model(cfg.alphas, n_s + 1)
+        assert ac.water_fill(s.model, n_s) == ac.water_fill(uncapped, n_s)
+
+
+@pytest.mark.parametrize(
+    "simulation, message",
+    [
+        ("horizon = 100\nwarmup = 100", "[simulation] warmup: must be below horizon 100, got 100"),
+        ("horizon = 100\nwarmup = -1", "[simulation] warmup: must be >= 0, got -1"),
+        ("horizon = 3000000000\nwarmup = 100",
+         "[simulation] horizon: must be < 2**31, got 3000000000"),
+    ],
+    ids=["warmup_at_horizon", "warmup_negative", "horizon_too_long"],
+)
+def test_cli_names_warmup_and_horizon_faults(tmp_path, capsys, simulation, message):
+    text = BASE_CONFIG.replace("horizon = 1500\nwarmup = 100", simulation)
+    code, out, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, text))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_cli_walk_and_audit(tmp_path, capsys):

@@ -1,10 +1,13 @@
-"""The README's library tour runs as written against the current API, and
-its config reference lists exactly the keys the parser accepts."""
+"""The README's library tour runs as written against the current API, its
+config reference lists exactly the keys the parser accepts, and the package
+exports exactly the public names pinned here."""
 
 import math
 import re
+import types
 from pathlib import Path
 
+import agecourier as ac
 from agecourier.config import _KNOWN_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -29,3 +32,27 @@ def test_readme_config_reference_lists_every_known_key():
         listed.update((section, key) for key in re.findall(r"`(\w+)`", keys))
     known = {(section, key) for section, keys in _KNOWN_KEYS.items() for key in keys}
     assert listed == known
+
+
+# every public non-module name `agecourier` exports, so a name is added to or
+# dropped from the public API only on purpose
+PUBLIC_NAMES = {
+    "BoundReport", "ConfigError", "ConveyorEnergyStats", "CoverageReport", "DeliveryLog",
+    "EnergyParams", "EulerWalk", "ExperimentConfig", "Graph", "PhaseRow", "PhaseSet",
+    "SensingAllocation", "SensingModel", "ShortestPathTree", "SimConfig", "SimResult",
+    "SweepCell", "allocation_objective", "aoi_from_event_log", "baseward_departure_slots",
+    "bfs_distances", "build_graph", "clustered_phases", "coverage_audit", "cyclic_gaps",
+    "euler_walk", "gamma_max", "generation_mask", "load_config", "lower_bound", "make_model",
+    "mean_std", "mu", "parse_config", "phase_comparison", "pickup_wait_mean", "random_phases",
+    "render_config", "residual_life_mean", "run", "run_energy", "seed_runs",
+    "shortest_path_tree", "split_sweep", "success_probability", "uniform_alloc",
+    "uniform_phases", "water_fill",
+}
+
+
+def test_public_surface_is_pinned():
+    exported = {
+        name for name, value in vars(ac).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC_NAMES

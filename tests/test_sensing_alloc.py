@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 import agecourier as ac
 from agecourier.sensing_alloc import (
     ConvexityViolation,
-    InstanceTooLarge,
     InsufficientBudget,
     MaxMExceeded,
     NonPositiveAlpha,
     OutOfRange,
 )
 
+from _oracle import InstanceTooLarge, brute_force_alloc, table_model
 from _support import REF_ALPHAS, REF_WATERFILL_10, ref_model
 
 
@@ -48,23 +48,25 @@ def test_make_model_rejects_bad_inputs():
         ac.make_model((4.0,), max_m=0)
 
 
-def test_model_from_mu_table_roundtrip_and_validation():
-    model = ac.model_from_mu_table(((6.0, 3.0, 2.0), (2.0, 1.0, 1.0)))
+def test_table_model_roundtrip_and_validation():
+    model = table_model(((6.0, 3.0, 2.0), (2.0, 1.0, 1.0)))
     assert model.max_m == 3
     assert model.alphas == (6.0, 2.0)
     assert model.q_table[0] == (1.0 / 6.0, 1.0 / 3.0, 0.5)
     with pytest.raises(OutOfRange):
-        ac.model_from_mu_table(())
+        ac.SensingModel(alphas=(), max_m=1, mu_table=(), q_table=())
     with pytest.raises(OutOfRange):
-        ac.model_from_mu_table(((2.0, 1.0), (2.0,)))
+        ac.SensingModel(
+            alphas=(2.0, 2.0), max_m=2, mu_table=((2.0, 1.0), (2.0,)), q_table=((0.5, 1.0), (0.5,))
+        )
     with pytest.raises(NonPositiveAlpha):
-        ac.model_from_mu_table(((2.0, 0.0),))
+        ac.SensingModel(alphas=(2.0,), max_m=2, mu_table=((2.0, 0.0),), q_table=((0.5, 1.0),))
     # mean sensing time must never rise with more robots
     with pytest.raises(ConvexityViolation):
-        ac.model_from_mu_table(((2.0, 3.0),))
+        table_model(((2.0, 3.0),))
     # and each extra robot must help no more than the one before it
     with pytest.raises(ConvexityViolation) as exc:
-        ac.model_from_mu_table(((5.0, 4.0, 1.0),))
+        table_model(((5.0, 4.0, 1.0),))
     assert exc.value.node == 0 and exc.value.m == 2
     # a model checks itself when made, so one built directly never reaches water_fill
     with pytest.raises(ConvexityViolation) as exc:
@@ -72,6 +74,54 @@ def test_model_from_mu_table_roundtrip_and_validation():
             alphas=(5.0,), max_m=3, mu_table=((5.0, 4.0, 1.0),), q_table=((0.2, 0.25, 1.0),)
         )
     assert exc.value.node == 0 and exc.value.m == 2
+
+
+_GOOD = dict(alphas=(4.0, 2.0), max_m=2, mu_table=((4.0, 2.0), (2.0, 1.0)),
+             q_table=((0.25, 0.5), (0.5, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        ({"mu_table": ((4.0, 2.0), (2.0,))}, OutOfRange, "mu_table must hold 2 rows of max_m=2"),
+        ({"mu_table": ((4.0, 2.0),)}, OutOfRange, "mu_table must hold 2 rows of max_m=2"),
+        ({"q_table": ((0.25, 0.5, 0.75), (0.5, 1.0))}, OutOfRange,
+         "q_table must hold 2 rows of max_m=2"),
+        ({"q_table": ((0.25, 0.5), (0.5, 2.0))}, OutOfRange,
+         r"q values at index 1 must be in \(0, 1\]"),
+        ({"q_table": ((0.0, 0.5), (0.5, 1.0))}, OutOfRange,
+         r"q values at index 0 must be in \(0, 1\]"),
+        ({"mu_table": ((4.0, 2.0), (2.0, -1.0))}, NonPositiveAlpha, "mu values at index 1"),
+        ({"mu_table": ((4.0, 0.0), (2.0, 1.0))}, NonPositiveAlpha, "mu values at index 0"),
+        ({"max_m": 0, "mu_table": ((), ()), "q_table": ((), ())}, OutOfRange,
+         "max_m must be >= 1, got 0"),
+        ({"alphas": (4.0, -1.0)}, NonPositiveAlpha, "alpha at index 1 must be finite and > 0"),
+        ({"alphas": (float("nan"), 2.0)}, NonPositiveAlpha, "finite"),
+    ],
+    ids=["ragged", "missing_row", "q_ragged", "q_above_one", "q_zero", "mu_negative",
+         "mu_zero", "max_m_zero", "alpha_negative", "alpha_nan"],
+)
+def test_a_directly_built_model_checks_every_rule(change, error, message):
+    ac.SensingModel(**_GOOD)
+    with pytest.raises(error, match=message):
+        ac.SensingModel(**{**_GOOD, **change})
+
+
+def test_make_model_leaves_every_check_to_the_model():
+    # faults surface as the model's own errors, in the model's order
+    with pytest.raises(NonPositiveAlpha, match="alpha at index 0"):
+        ac.make_model((0.0,), max_m=0)
+    with pytest.raises(NonPositiveAlpha, match="alpha at index 0"):
+        ac.make_model((float("nan"),), max_m=2)
+    with pytest.raises(OutOfRange, match="max_m must be >= 1, got -2"):
+        ac.make_model((4.0,), max_m=-2)
+    with pytest.raises(OutOfRange, match="a model needs at least one node"):
+        ac.make_model((), max_m=2)
+    # the unclamped branch divides exactly as min(m / a, 1.0) did
+    alphas = np.random.default_rng(24).uniform(0.2, 12.0, size=50)
+    model = ac.make_model(alphas, max_m=13)
+    for a, row in zip(model.alphas, model.q_table):
+        assert row == tuple(min(m / a, 1.0) for m in range(1, 14))
 
 
 def test_parametric_family_never_violates_convexity():
@@ -109,7 +159,7 @@ def test_reference_waterfill():
     assert ac.allocation_objective(model, alloc) == sum(
         max(a / m, 1.0) for a, m in zip(REF_ALPHAS, REF_WATERFILL_10)
     )
-    brute = ac.brute_force_alloc(model, 10)
+    brute = brute_force_alloc(model, 10)
     assert ac.allocation_objective(model, brute) == ac.allocation_objective(model, alloc)
 
 
@@ -128,18 +178,18 @@ def test_budget_and_capacity_errors():
     with pytest.raises(InsufficientBudget):
         ac.water_fill(model, 6)
     with pytest.raises(InsufficientBudget):
-        ac.brute_force_alloc(model, 6)
+        brute_force_alloc(model, 6)
     with pytest.raises(InsufficientBudget):
         ac.uniform_alloc(model, 6)
     capped = ac.make_model(REF_ALPHAS, max_m=1)
     with pytest.raises(MaxMExceeded):
         ac.water_fill(capped, 8)
     with pytest.raises(MaxMExceeded):
-        ac.brute_force_alloc(capped, 8)
+        brute_force_alloc(capped, 8)
     with pytest.raises(MaxMExceeded):
         ac.uniform_alloc(capped, 14)
     with pytest.raises(InstanceTooLarge):
-        ac.brute_force_alloc(ac.make_model((2.0, 2.0, 2.0, 2.0), max_m=500), 500)
+        brute_force_alloc(ac.make_model((2.0, 2.0, 2.0, 2.0), max_m=500), 500)
 
 
 def test_uniform_alloc_spreads_leftovers_low():
@@ -165,7 +215,7 @@ def _allocation_instances(draw):
         benefits.sort(reverse=True)
         floor = draw(st.integers(1, 5))
         rows.append([floor + sum(benefits[j:]) for j in range(max_m)])
-    return ac.model_from_mu_table(rows), n_s
+    return table_model(rows), n_s
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -176,10 +226,10 @@ def test_greedy_matches_brute_force_on_random_instances(instance):
         with pytest.raises(MaxMExceeded):
             ac.water_fill(model, n_s)
         with pytest.raises(MaxMExceeded):
-            ac.brute_force_alloc(model, n_s)
+            brute_force_alloc(model, n_s)
         return
     greedy = ac.water_fill(model, n_s)
-    brute = ac.brute_force_alloc(model, n_s)
+    brute = brute_force_alloc(model, n_s)
     assert greedy.total == brute.total == n_s
     assert max(greedy.m) <= model.max_m
     assert abs(

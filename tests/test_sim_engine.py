@@ -63,14 +63,14 @@ def test_generation_mask_matches_stream_and_probability():
 def test_generation_mask_drawn_in_blocks_equals_one_draw(horizon):
     assert sim_engine._DRAW_BLOCK == 16384
     for q in (0.05, 0.3, 0.999, 1.0):
-        one_draw = ac.node_stream(11, 3).random(horizon) < q
+        one_draw = sim_engine._node_stream(11, 3).random(horizon) < q
         assert np.array_equal(ac.generation_mask(11, 3, q, horizon), one_draw)
 
 
 def test_node_streams_are_independent_and_stable():
-    a = ac.node_stream(5, 1).random(8)
-    b = ac.node_stream(5, 1).random(8)
-    c = ac.node_stream(5, 2).random(8)
+    a = sim_engine._node_stream(5, 1).random(8)
+    b = sim_engine._node_stream(5, 1).random(8)
+    c = sim_engine._node_stream(5, 2).random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
