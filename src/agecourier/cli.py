@@ -47,7 +47,7 @@ from .sensing_alloc import (
     uniform_alloc,
     water_fill,
 )
-from .sim_engine import SimConfig, shared_draws, unserved_nodes
+from .sim_engine import BatteryTooSmall, SimConfig, shared_draws, unserved_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ from .sim_engine import SimConfig, shared_draws, unserved_nodes
 def _scenario(cfg: ExperimentConfig) -> SimConfig:
     """The scenario `main` hands to every subcommand; sweeps and phase
     comparisons vary it. A graph that cannot be built is named as `[graph]
-    edges`."""
+    edges`, a battery too small for the deepest return as `[energy] b_max`."""
     try:
         graph = build_graph(cfg.node_count, cfg.edges)
     except GraphError as exc:
@@ -80,16 +80,19 @@ def _scenario(cfg: ExperimentConfig) -> SimConfig:
         phases = random_phases(cfg.n_c, L, cfg.phase_seed)
     else:
         phases = uniform_phases(L, cfg.n_c)
-    return SimConfig(
-        graph=graph,
-        phase_set=phases,
-        model=model,
-        alloc=alloc,
-        horizon=cfg.horizon,
-        warmup=cfg.warmup,
-        seed=cfg.seeds[0],
-        energy=cfg.energy,
-    )
+    try:
+        return SimConfig(
+            graph=graph,
+            phase_set=phases,
+            model=model,
+            alloc=alloc,
+            horizon=cfg.horizon,
+            warmup=cfg.warmup,
+            seed=cfg.seeds[0],
+            energy=cfg.energy,
+        )
+    except BatteryTooSmall as exc:
+        raise field_error("b_max", str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

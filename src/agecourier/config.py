@@ -180,7 +180,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise field_error("warmup", f"must be >= 0, got {v['warmup']}")
     if v["warmup"] >= v["horizon"]:
         raise field_error("warmup", f"must be below horizon {v['horizon']}, got {v['warmup']}")
-    if v["horizon"] >= 2**31:  # as SimConfig.validate, for int64 age sums
+    if v["horizon"] >= 2**31:  # as SimConfig checks, for int64 age sums
         raise field_error("horizon", f"must be < 2**31, got {v['horizon']}")
     if not v["seeds"]:
         raise field_error("seeds", "needs at least one seed")

@@ -30,13 +30,14 @@ class EulerWalk:
     """Closed walk w_0..w_L with w_0 = w_L = base, one edge per step."""
 
     sequence: tuple[int, ...]
-    length: int
 
     def __post_init__(self):
-        if self.length != len(self.sequence) - 1:
-            raise ValueError("walk length must equal len(sequence) - 1")
         if self.sequence[0] != BASE or self.sequence[-1] != BASE:
             raise ValueError("walk must start and end at the base")
+
+    @property
+    def length(self) -> int:
+        return len(self.sequence) - 1
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def euler_walk(tree: ShortestPathTree) -> EulerWalk:
             stack.pop()
         else:
             stack.append((child, iter(children.get(child, ()))))
-    return EulerWalk(sequence=tuple(seq), length=len(seq) - 1)
+    return EulerWalk(sequence=tuple(seq))
 
 
 def uniform_phases(walk_length: int, n_c: int) -> PhaseSet:

@@ -1,12 +1,13 @@
 """Sensing robot allocation under parallel memoryless group sensing.
 
 Each node i needs alpha_i expected robot-slots of work per sample. A group of
-m robots working in parallel completes a sample in a geometric number of slots
-with success probability q_i(m) = min(m / alpha_i, 1), so the mean completion
-time is mu_i(m) = max(alpha_i / m, 1). The marginal benefit of one extra robot
-shrinks as the group grows, which is exactly the structure the greedy
-water-filling allocator needs to be optimal. A `SensingModel` checks every
-rule of that structure when made, however it is built.
+m robots working in parallel completes a sample in a geometric number of
+slots with mean mu_i(m) = max(alpha_i / m, 1), so its per-slot success
+probability is q_i(m) = 1 / mu_i(m), which is min(m / alpha_i, 1) up to
+rounding. The marginal benefit of one extra robot shrinks as the group grows,
+which is exactly the structure the greedy water-filling allocator needs to be
+optimal. A `SensingModel` is one table of means and checks every rule of that
+structure when made, however it is built.
 
 Model indices follow the alphas vector: index i corresponds to non-base node
 i + 1 once paired with a graph.
@@ -50,17 +51,16 @@ class SensingModel:
     """Per-node mean sensing times for every group size 1..max_m.
 
     mu_table[i][m - 1] is the mean completion time of node index i with m
-    robots; q_table holds the matching per-slot success probabilities. A
-    model checks every rule when made, in order: finite, positive alphas;
-    max_m >= 1; in each table, a row of max_m entries per alpha (one at
-    least); finite, positive means and probabilities in (0, 1]; and means
-    that never rise, with shrinking gains, so `water_fill` is optimal.
+    robots; its per-slot success probability is the reciprocal. A model
+    checks every rule when made, in order: finite, positive alphas;
+    max_m >= 1; a row of max_m entries per alpha (one at least); finite,
+    positive means of at least one slot; and means that never rise, with
+    shrinking gains, so `water_fill` is optimal.
     """
 
     alphas: tuple[float, ...]
     max_m: int
     mu_table: tuple[tuple[float, ...], ...]
-    q_table: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         for i, a in enumerate(self.alphas):
@@ -71,14 +71,13 @@ class SensingModel:
         k = len(self.alphas)
         if k == 0:
             raise OutOfRange("a model needs at least one node")
-        for name, table in (("mu_table", self.mu_table), ("q_table", self.q_table)):
-            if len(table) != k or any(len(row) != self.max_m for row in table):
-                raise OutOfRange(f"{name} must hold {k} rows of max_m={self.max_m} entries")
-        for i, (mu_row, q_row) in enumerate(zip(self.mu_table, self.q_table)):
-            if not all(0 < v < inf for v in mu_row):
+        if len(self.mu_table) != k or any(len(row) != self.max_m for row in self.mu_table):
+            raise OutOfRange(f"mu_table must hold {k} rows of max_m={self.max_m} entries")
+        for i, row in enumerate(self.mu_table):
+            if not all(0 < v < inf for v in row):
                 raise NonPositiveAlpha(f"mu values at index {i} must be finite and > 0")
-            if not all(0 < v <= 1 for v in q_row):
-                raise OutOfRange(f"q values at index {i} must be in (0, 1]")
+            if min(row) < 1:  # q = 1 / mu is a probability
+                raise OutOfRange(f"mu values at index {i} must be at least one slot")
         for i, row in enumerate(self.mu_table):
             for m in range(1, len(row)):
                 if row[m] > row[m - 1]:
@@ -109,14 +108,13 @@ class SensingAllocation:
 
 
 def make_model(alphas, max_m: int) -> SensingModel:
-    """Build the clamped parametric model's tables; the model checks them."""
+    """Build the clamped parametric model's table; the model checks it."""
     alphas = tuple(float(a) for a in alphas)
     ms = range(1, max_m + 1)
     return SensingModel(
         alphas=alphas,
         max_m=max_m,
         mu_table=tuple(tuple(max(a / m, 1.0) for m in ms) for a in alphas),
-        q_table=tuple(tuple(1.0 if m >= a else m / a for m in ms) for a in alphas),
     )
 
 
@@ -134,9 +132,9 @@ def mu(model: SensingModel, i: int, m: int) -> float:
 
 
 def success_probability(model: SensingModel, i: int, m: int) -> float:
-    """Per-slot completion probability of node index i with m robots."""
-    _check_index(model, i, m)
-    return model.q_table[i][m - 1]
+    """Per-slot completion probability of node index i with m robots: the
+    reciprocal of its geometric mean sensing time."""
+    return 1.0 / mu(model, i, m)
 
 
 def allocation_objective(model: SensingModel, alloc: SensingAllocation) -> float:

@@ -176,7 +176,7 @@ class SimResult:
     def log_blocks(self) -> Iterator[np.ndarray]:
         """The log in slot order as blocks of whole slots, at most _LOG_BLOCK
         events each: (events, 4) int32 rows of origin, sensing_start,
-        generated and delivered (`validate` keeps every slot below 2**31).
+        generated and delivered (`SimConfig` keeps every slot below 2**31).
         Each call replays the run; the reference stepper keeps its events
         and gives them as one block."""
         yield from self._log()[1]
@@ -186,7 +186,7 @@ class SimResult:
 class SimConfig:
     """One simulation scenario; its tree and walk are derived from the graph.
     Per-seed and per-cell variants are `dataclasses.replace` copies. Every
-    instance, each copy included, is checked by `validate` when made."""
+    instance, each copy included, checks itself when made."""
 
     graph: Graph
     phase_set: PhaseSet
@@ -198,19 +198,6 @@ class SimConfig:
     energy: EnergyParams | None = None
 
     def __post_init__(self):
-        self.validate()
-
-    @property
-    def tree(self) -> ShortestPathTree:
-        """Shortest-path tree of the graph, the conveyors' road network."""
-        return _tree_and_walk(self.graph)[0]
-
-    @property
-    def walk(self) -> EulerWalk:
-        """Closed Euler walk over the tree that every conveyor follows."""
-        return _tree_and_walk(self.graph)[1]
-
-    def validate(self) -> None:
         k = self.graph.node_count - 1
         if not 0 <= self.warmup < self.horizon:
             raise ConfigInvalid(
@@ -233,6 +220,16 @@ class SimConfig:
             raise BatteryTooSmall(
                 f"b_max={energy.b_max} cannot cover a depth-{depth} return at e_move={energy.e_move}"
             )
+
+    @property
+    def tree(self) -> ShortestPathTree:
+        """Shortest-path tree of the graph, the conveyors' road network."""
+        return _tree_and_walk(self.graph)[0]
+
+    @property
+    def walk(self) -> EulerWalk:
+        """Closed Euler walk over the tree that every conveyor follows."""
+        return _tree_and_walk(self.graph)[1]
 
 
 @lru_cache(maxsize=16)
@@ -747,7 +744,7 @@ def _log_blocks(deliveries, k: int) -> tuple[int, Iterator[np.ndarray]]:
     a slot.
 
     Each node's sensing starts, generation and delivery slots are held as
-    int32 (`validate` keeps the horizon below 2**31), 12 bytes an event; no
+    int32 (`SimConfig` keeps the horizon below 2**31), 12 bytes an event; no
     per-slot array is made. A block is 16 bytes an event, and merging it
     holds about twice that.
     """
@@ -815,7 +812,7 @@ def aoi_from_event_log(
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"need 0 <= warmup < horizon, got {warmup}, {horizon}")
-    if 2 * horizon**2 >= 2**63:  # int64 ramp sums, as in SimConfig.validate
+    if 2 * horizon**2 >= 2**63:  # int64 ramp sums, as SimConfig checks
         raise ValueError(f"horizon must be < 2**31, got {horizon}")
     order = np.argsort(log.origin, kind="stable")  # group by origin, log order within
     org, dlv, srt = log.origin[order], log.delivered[order], log.sensing_start[order]

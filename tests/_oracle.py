@@ -48,12 +48,7 @@ def brute_force_alloc(model: ac.SensingModel, n_s: int) -> ac.SensingAllocation:
 
 
 def table_model(rows) -> ac.SensingModel:
-    """A model of the given mean sensing times, one row per node: success
-    probabilities are their reciprocals and alphas the single-robot means."""
+    """A model of the given mean sensing times, one row per node; alphas are
+    the single-robot means."""
     rows = tuple(tuple(float(v) for v in row) for row in rows)
-    return ac.SensingModel(
-        alphas=tuple(row[0] for row in rows),
-        max_m=len(rows[0]),
-        mu_table=rows,
-        q_table=tuple(tuple(1.0 / v for v in row) for row in rows),
-    )
+    return ac.SensingModel(alphas=tuple(row[0] for row in rows), max_m=len(rows[0]), mu_table=rows)

@@ -13,6 +13,7 @@ from agecourier import analysis, sim_engine
 from agecourier.analysis import BudgetTooSmall
 from agecourier.sim_engine import ConfigInvalid
 
+from _oracle import table_model
 from _support import (
     REF_ALPHAS,
     REF_BOUNDS_M1,
@@ -33,6 +34,30 @@ def test_reference_bounds_waterfilled():
     rep = ac.lower_bound(ref_config(m=REF_WATERFILL_10))
     assert rep.per_node_bound == {1: 7.0, 2: 11.0, 3: 6.0, 4: 9.0, 5: 11.0, 6: 8.0, 7: 8.0}
     assert rep.network_bound == pytest.approx(60.0 / 7.0)
+
+
+def test_a_table_model_attains_its_floor_at_full_fleet():
+    # a convex table no (alpha, m) clamp produces, one robot to three per node
+    rows = (
+        (5.5, 3.0, 2.0), (7.25, 4.0, 3.5), (3.0, 2.5, 2.25), (9.5, 5.0, 3.0),
+        (6.0, 3.5, 2.0), (8.0, 4.5, 2.5), (4.5, 2.0, 1.25),
+    )
+    cfg = dataclasses.replace(
+        ref_config(horizon=50_000, warmup=1000),
+        model=table_model(rows),
+        alloc=ac.SensingAllocation(m=(2, 1, 3, 2, 1, 3, 2)),
+    )
+    floors = ac.lower_bound(cfg).per_node_bound
+    seeds = range(8)
+    ages = np.array(
+        [[res.per_node_aoi[node] for node in range(1, 8)] for res in ac.seed_runs(cfg, seeds)]
+    )
+    # every walk offset is staffed, so each node's seed mean lies within four
+    # standard errors of its floor 2 * mu - 2 + d
+    mean = ages.mean(axis=0)
+    stderr = ages.std(axis=0, ddof=1) / math.sqrt(len(seeds))
+    for i, node in enumerate(range(1, 8)):
+        assert abs(mean[i] - floors[node]) <= 4 * stderr[i], (node, mean[i], floors[node])
 
 
 def test_bound_single_edge():

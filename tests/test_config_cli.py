@@ -704,6 +704,43 @@ def test_every_subcommand_rejects_a_scenario_that_run_rejects(tmp_path, capsys, 
     assert err.startswith("error: ")
 
 
+SHALLOW_BATTERY_CONFIG = """\
+[graph]
+nodes = 3
+edges = 0-1, 1-2
+
+[sensing]
+alphas = 2, 3
+allocation = waterfill
+n_s = 2
+
+[conveyors]
+phases = uniform
+n_c = 2
+
+[simulation]
+horizon = 100
+warmup = 10
+seeds = 0
+
+[energy]
+b_max = 1
+e_move = 2
+r_chg = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "command", ["bound", "waterfill", "walk", "phases", "audit", "simulate", "sweep"]
+)
+def test_every_subcommand_names_a_battery_too_small_as_b_max(tmp_path, capsys, command):
+    # node 2 is two hops out: a return costs 2 * e_move = 4 > b_max
+    path = write_config(tmp_path, SHALLOW_BATTERY_CONFIG)
+    code, out, err = run_cli(capsys, command, "--config", path)
+    assert (code, out) == (1, "")
+    assert err == "error: [energy] b_max: b_max=1.0 cannot cover a depth-2 return at e_move=2.0\n"
+
+
 @pytest.mark.parametrize("command", ["bound", "walk", "waterfill", "audit", "simulate"])
 def test_every_subcommand_rejects_a_negative_seed(tmp_path, capsys, command):
     # a negative seed after the first one, and a negative --seed on a valid config

@@ -1,5 +1,6 @@
 """Euler walks, phase schedules, gaps, and coverage audits."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
@@ -48,10 +49,13 @@ def test_walk_over_a_long_path_needs_no_recursion():
 
 
 def test_walk_validation():
+    # a walk is only its sequence; its length is worked out from it
+    assert [f.name for f in dataclasses.fields(ac.EulerWalk)] == ["sequence"]
+    assert ac.EulerWalk(sequence=(0, 1, 0)).length == 2
     with pytest.raises(ValueError):
-        ac.EulerWalk(sequence=(0, 1, 0), length=3)
+        ac.EulerWalk(sequence=(0, 1, 0, 1))
     with pytest.raises(ValueError):
-        ac.EulerWalk(sequence=(1, 0, 1), length=2)
+        ac.EulerWalk(sequence=(1, 0, 1))
 
 
 def test_phase_set_validation():

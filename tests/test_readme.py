@@ -1,13 +1,17 @@
 """The README's library tour runs as written against the current API, its
-config reference lists exactly the keys the parser accepts, and the package
-exports exactly the public names pinned here."""
+example config runs through the CLI, its config reference lists exactly the
+keys the parser accepts, and the package exports exactly the public names
+pinned here."""
 
 import math
 import re
 import types
 from pathlib import Path
 
+import pytest
+
 import agecourier as ac
+from agecourier.cli import main
 from agecourier.config import _KNOWN_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -21,6 +25,28 @@ def test_readme_library_tour_runs():
     namespace: dict = {}
     exec(compile(block.group(1), str(README), "exec"), namespace)
     assert math.isfinite(namespace["res"].network_aoi)
+
+
+@pytest.mark.parametrize(
+    "command, header",
+    [
+        ("bound", "node,bound"),
+        ("waterfill", "node,alpha,m,mu,q"),
+        ("walk", "step,node"),
+        ("audit", "full coverage: true"),
+        ("simulate", "node,mean_aoi,std_aoi,bound,delta"),
+    ],
+)
+def test_readme_example_config_runs(tmp_path, capsys, command, header):
+    text = README.read_text(encoding="utf-8")
+    example = text[text.index("### Example config") : text.index("### Config reference")]
+    block = re.search(r"```ini\n(.*?)```", example, re.DOTALL)
+    assert block is not None, "README example config has no ini block"
+    path = tmp_path / "example.ini"
+    path.write_text(block.group(1))
+    assert main([command, "--config", str(path)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert lines[0] == header
 
 
 def test_readme_config_reference_lists_every_known_key():

@@ -1,5 +1,7 @@
 """Sensing model tables and the water-filling allocator against its oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,9 @@ from _support import REF_ALPHAS, REF_WATERFILL_10, ref_model
 
 def test_parametric_tables():
     model = ac.make_model((4.0,), max_m=5)
+    assert [f.name for f in dataclasses.fields(ac.SensingModel)] == ["alphas", "max_m", "mu_table"]
     assert model.mu_table[0] == (4.0, 2.0, 4.0 / 3.0, 1.0, 1.0)
-    assert model.q_table[0] == (0.25, 0.5, 0.75, 1.0, 1.0)
+    assert [ac.success_probability(model, 0, m) for m in range(1, 6)] == [0.25, 0.5, 0.75, 1.0, 1.0]
     assert ac.mu(model, 0, 1) == 4.0
     assert ac.success_probability(model, 0, 4) == 1.0
     assert model.node_count == 1
@@ -52,15 +55,13 @@ def test_table_model_roundtrip_and_validation():
     model = table_model(((6.0, 3.0, 2.0), (2.0, 1.0, 1.0)))
     assert model.max_m == 3
     assert model.alphas == (6.0, 2.0)
-    assert model.q_table[0] == (1.0 / 6.0, 1.0 / 3.0, 0.5)
+    assert [ac.success_probability(model, 0, m) for m in (1, 2, 3)] == [1.0 / 6.0, 1.0 / 3.0, 0.5]
     with pytest.raises(OutOfRange):
-        ac.SensingModel(alphas=(), max_m=1, mu_table=(), q_table=())
+        ac.SensingModel(alphas=(), max_m=1, mu_table=())
     with pytest.raises(OutOfRange):
-        ac.SensingModel(
-            alphas=(2.0, 2.0), max_m=2, mu_table=((2.0, 1.0), (2.0,)), q_table=((0.5, 1.0), (0.5,))
-        )
+        ac.SensingModel(alphas=(2.0, 2.0), max_m=2, mu_table=((2.0, 1.0), (2.0,)))
     with pytest.raises(NonPositiveAlpha):
-        ac.SensingModel(alphas=(2.0,), max_m=2, mu_table=((2.0, 0.0),), q_table=((0.5, 1.0),))
+        ac.SensingModel(alphas=(2.0,), max_m=2, mu_table=((2.0, 0.0),))
     # mean sensing time must never rise with more robots
     with pytest.raises(ConvexityViolation):
         table_model(((2.0, 3.0),))
@@ -70,14 +71,11 @@ def test_table_model_roundtrip_and_validation():
     assert exc.value.node == 0 and exc.value.m == 2
     # a model checks itself when made, so one built directly never reaches water_fill
     with pytest.raises(ConvexityViolation) as exc:
-        ac.SensingModel(
-            alphas=(5.0,), max_m=3, mu_table=((5.0, 4.0, 1.0),), q_table=((0.2, 0.25, 1.0),)
-        )
+        ac.SensingModel(alphas=(5.0,), max_m=3, mu_table=((5.0, 4.0, 1.0),))
     assert exc.value.node == 0 and exc.value.m == 2
 
 
-_GOOD = dict(alphas=(4.0, 2.0), max_m=2, mu_table=((4.0, 2.0), (2.0, 1.0)),
-             q_table=((0.25, 0.5), (0.5, 1.0)))
+_GOOD = dict(alphas=(4.0, 2.0), max_m=2, mu_table=((4.0, 2.0), (2.0, 1.0)))
 
 
 @pytest.mark.parametrize(
@@ -85,20 +83,19 @@ _GOOD = dict(alphas=(4.0, 2.0), max_m=2, mu_table=((4.0, 2.0), (2.0, 1.0)),
     [
         ({"mu_table": ((4.0, 2.0), (2.0,))}, OutOfRange, "mu_table must hold 2 rows of max_m=2"),
         ({"mu_table": ((4.0, 2.0),)}, OutOfRange, "mu_table must hold 2 rows of max_m=2"),
-        ({"q_table": ((0.25, 0.5, 0.75), (0.5, 1.0))}, OutOfRange,
-         "q_table must hold 2 rows of max_m=2"),
-        ({"q_table": ((0.25, 0.5), (0.5, 2.0))}, OutOfRange,
-         r"q values at index 1 must be in \(0, 1\]"),
-        ({"q_table": ((0.0, 0.5), (0.5, 1.0))}, OutOfRange,
-         r"q values at index 0 must be in \(0, 1\]"),
+        # q = 1 / mu: a mean below one slot is a q above one, an infinite mean a q of zero
+        ({"mu_table": ((4.0, 2.0), (2.0, 0.5))}, OutOfRange,
+         "mu values at index 1 must be at least one slot"),
+        ({"mu_table": ((float("inf"), 2.0), (2.0, 1.0))}, NonPositiveAlpha,
+         "mu values at index 0 must be finite and > 0"),
         ({"mu_table": ((4.0, 2.0), (2.0, -1.0))}, NonPositiveAlpha, "mu values at index 1"),
         ({"mu_table": ((4.0, 0.0), (2.0, 1.0))}, NonPositiveAlpha, "mu values at index 0"),
-        ({"max_m": 0, "mu_table": ((), ()), "q_table": ((), ())}, OutOfRange,
+        ({"max_m": 0, "mu_table": ((), ())}, OutOfRange,
          "max_m must be >= 1, got 0"),
         ({"alphas": (4.0, -1.0)}, NonPositiveAlpha, "alpha at index 1 must be finite and > 0"),
         ({"alphas": (float("nan"), 2.0)}, NonPositiveAlpha, "finite"),
     ],
-    ids=["ragged", "missing_row", "q_ragged", "q_above_one", "q_zero", "mu_negative",
+    ids=["ragged", "missing_row", "q_above_one", "q_zero", "mu_negative",
          "mu_zero", "max_m_zero", "alpha_negative", "alpha_nan"],
 )
 def test_a_directly_built_model_checks_every_rule(change, error, message):
@@ -117,11 +114,39 @@ def test_make_model_leaves_every_check_to_the_model():
         ac.make_model((4.0,), max_m=-2)
     with pytest.raises(OutOfRange, match="a model needs at least one node"):
         ac.make_model((), max_m=2)
-    # the unclamped branch divides exactly as min(m / a, 1.0) did
+    # q is exactly the reciprocal of the clamped mean
     alphas = np.random.default_rng(24).uniform(0.2, 12.0, size=50)
     model = ac.make_model(alphas, max_m=13)
-    for a, row in zip(model.alphas, model.q_table):
-        assert row == tuple(min(m / a, 1.0) for m in range(1, 14))
+    for i, a in enumerate(model.alphas):
+        q_row = [ac.success_probability(model, i, m) for m in range(1, 14)]
+        assert q_row == [1.0 / max(a / m, 1.0) for m in range(1, 14)]
+
+
+def test_success_probability_is_exactly_one_over_mu():
+    rng = np.random.default_rng(25)
+    models = []
+    for _ in range(50):
+        alphas = rng.uniform(0.2, 12.0, size=int(rng.integers(1, 6)))
+        models.append(ac.make_model(alphas, max_m=int(rng.integers(1, 14))))
+    for _ in range(50):
+        # convex float tables: a floor of at least one slot plus shrinking gains
+        max_m = int(rng.integers(1, 7))
+        rows = []
+        for _ in range(int(rng.integers(1, 5))):
+            gains = np.sort(rng.uniform(0.0, 5.0, size=max_m - 1))[::-1]
+            floor = rng.uniform(1.0, 10.0)
+            rows.append([floor + float(gains[j:].sum()) for j in range(max_m)])
+        models.append(table_model(rows))
+    for model in models:
+        for i in range(model.node_count):
+            for m in range(1, model.max_m + 1):
+                assert ac.success_probability(model, i, m) == 1.0 / ac.mu(model, i, m)
+    # a mean below one slot or an infinite one has no probability, and the
+    # model names the node index
+    with pytest.raises(OutOfRange, match="mu values at index 2 must be at least one slot"):
+        table_model(((3.0, 2.0), (2.0, 1.0), (2.0, 0.5)))
+    with pytest.raises(NonPositiveAlpha, match="mu values at index 1 must be finite"):
+        ac.SensingModel(alphas=(3.0, 2.0), max_m=2, mu_table=((3.0, 2.0), (float("inf"), 1.0)))
 
 
 def test_parametric_family_never_violates_convexity():

@@ -143,14 +143,15 @@ def test_tree_and_walk_are_derived_from_the_graph():
     )
     assert path.tree.depth == (0, 1, 2)
     assert path.walk.sequence == (0, 1, 2, 1, 0)
-    path.validate()
+    # every check runs when a config is made; there is no separate validate
+    assert not hasattr(ac.SimConfig, "validate")
 
 
 def test_horizon_too_long_for_int64_age_sums_is_rejected():
     good = ref_config()
-    dataclasses.replace(good, horizon=2**31 - 1).validate()
+    dataclasses.replace(good, horizon=2**31 - 1)
     with pytest.raises(ConfigInvalid, match="horizon"):
-        dataclasses.replace(good, horizon=2**31).validate()
+        dataclasses.replace(good, horizon=2**31)
 
 
 def test_run_dispatch_guards():
