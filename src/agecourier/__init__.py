@@ -20,7 +20,6 @@ from .graph_core import (
 from .conveyor_plan import (
     EulerWalk,
     PhaseSet,
-    CoverageReport,
     euler_walk,
     uniform_phases,
     clustered_phases,
@@ -28,8 +27,6 @@ from .conveyor_plan import (
     cyclic_gaps,
     gamma_max,
     residual_life_mean,
-    baseward_departure_slots,
-    coverage_audit,
 )
 from .sensing_alloc import (
     SensingModel,
@@ -47,10 +44,13 @@ from .sim_engine import (
     SimConfig,
     SimResult,
     ConveyorEnergyStats,
+    CoverageReport,
     generation_mask,
     run,
     run_energy,
     aoi_from_event_log,
+    coverage_audit,
+    pickup_wait_mean,
 )
 from .analysis import (
     BoundReport,
@@ -59,7 +59,6 @@ from .analysis import (
     lower_bound,
     split_sweep,
     phase_comparison,
-    pickup_wait_mean,
     seed_runs,
     mean_std,
 )

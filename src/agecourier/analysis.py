@@ -1,12 +1,11 @@
-"""Analytic floors, pickup waits, and experiment sweeps over one scenario.
+"""Analytic floors and experiment sweeps over one scenario.
 
 Every non-base node's average age is floored by 2 mu_i(m_i) - 2 + d_i: the
 sensing mean enters twice (age accrues while a sample is sensed and again
 while the next one is), and the hop distance d_i, the depth of the scenario's
-shortest-path tree, is the minimum shipping time. `pickup_wait_mean` measures
-the wait from a sensing completion to the next baseward departure. Sweeps
-split a fixed robot budget between sensing and conveying to locate the best
-division of labor, and phase comparisons vary only the conveyor schedule.
+shortest-path tree, is the minimum shipping time. Sweeps split a fixed robot
+budget between sensing and conveying to locate the best division of labor,
+and phase comparisons vary only the conveyor schedule.
 """
 
 from __future__ import annotations
@@ -15,23 +14,9 @@ import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
-import numpy as np
-
-from .conveyor_plan import (
-    baseward_departure_slots,
-    clustered_phases,
-    random_phases,
-    uniform_phases,
-)
-from .sensing_alloc import mu, success_probability, water_fill
-from .sim_engine import (
-    ConfigInvalid,
-    SimConfig,
-    generation_mask,
-    run,
-    run_energy,
-    shared_draws,
-)
+from .conveyor_plan import clustered_phases, random_phases, uniform_phases
+from .sensing_alloc import mu, water_fill
+from .sim_engine import SimConfig, run, run_energy, shared_draws
 
 
 class BudgetTooSmall(ValueError):
@@ -164,26 +149,3 @@ def phase_comparison(
         )
     )
     return rows
-
-
-def pickup_wait_mean(cfg: SimConfig) -> float:
-    """Average wait from each simulated sensing completion to the next slot a
-    conveyor departs its node toward the base (0 when one departs the same
-    slot), over [0, cfg.horizon) of seed cfg.seed with no warmup, from the
-    same generation streams as `run`. Waits follow the unconstrained walk, so
-    a config with energy parameters is rejected."""
-    if cfg.energy is not None:
-        raise ConfigInvalid("pickup_wait_mean: energy-limited conveyors leave the walk")
-    L = cfg.walk.length
-    total = count = 0
-    for i in range(cfg.model.node_count):
-        node = i + 1
-        deps = baseward_departure_slots(cfg.walk, node, cfg.phase_set)
-        wait_by_residue = [min((tau - r) % L for tau in deps) for r in range(L)]
-        q = success_probability(cfg.model, i, cfg.alloc.m[i])
-        gens = np.flatnonzero(generation_mask(cfg.seed, node, q, cfg.horizon))
-        if gens.size:
-            waits = np.asarray(wait_by_residue, dtype=np.int64)[gens % L]
-            total += int(waits.sum())
-            count += int(gens.size)
-    return total / count if count else float("nan")

@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .analysis import lower_bound, mean_std, phase_comparison, seed_runs, split_sweep
 from .config import ConfigError, ExperimentConfig, field_error, load_config, render_config
-from .conveyor_plan import clustered_phases, coverage_audit, random_phases, uniform_phases
+from .conveyor_plan import clustered_phases, random_phases, uniform_phases
 from .graph_core import GraphError, build_graph
 from .sensing_alloc import (
     SensingAllocation,
@@ -47,7 +47,7 @@ from .sensing_alloc import (
     uniform_alloc,
     water_fill,
 )
-from .sim_engine import BatteryTooSmall, SimConfig, shared_draws, unserved_nodes
+from .sim_engine import BatteryTooSmall, SimConfig, coverage_audit, shared_draws, unserved_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +173,16 @@ def cmd_walk(cfg: ExperimentConfig, s: SimConfig) -> str:
 
 
 def cmd_audit(cfg: ExperimentConfig, s: SimConfig) -> str:
-    report = coverage_audit(s.walk, s.phase_set)
+    """The verdict, the fleet's cycle, then each unserved node and each slot
+    of the cycle whose sample misses its depth (see `coverage_audit`)."""
+    report = coverage_audit(s)
     lines = [f"full coverage: {'true' if report.full_coverage else 'false'}"]
-    for node, slot in report.violations:
-        lines.append(f"violation: node={node} slot={slot}")
+    if report.period:
+        lines.append(f"cycle: t0={report.t0} period={report.period}")
+    else:
+        lines.append(f"cycle: none; the fleet's motion does not repeat within {s.horizon} slots")
+    lines += [f"unserved: node={node}" for node in report.unserved]
+    lines += [f"violation: node={node} slot={slot}" for node, slot in report.violations]
     return "\n".join(lines) + "\n"
 
 

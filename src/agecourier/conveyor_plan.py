@@ -3,8 +3,10 @@
 A single closed Euler walk visits every tree edge once in each direction, so
 its length is always twice the number of non-base nodes. Every conveyor robot
 follows the same walk; a conveyor with phase offset phi occupies walk position
-(t + phi) mod L at slot t. The phase set therefore fully determines coverage:
-how often each node sees a conveyor that departs toward the base.
+(t + phi) mod L at slot t. The phase set fixes how often an unconstrained
+fleet passes each node; which samples reach the base in the node's depth is
+audited on the fleet's actual motion, batteries included
+(`sim_engine.coverage_audit`).
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ from .graph_core import BASE, ShortestPathTree
 
 class BudgetOutOfRange(ValueError):
     """Conveyor count outside 1..L."""
-
-
-class NodeIsBase(ValueError):
-    """Operation asked about the base node, which never ships samples."""
 
 
 @dataclass(frozen=True)
@@ -56,14 +54,6 @@ class PhaseSet:
             raise ValueError("phases must lie in 0..walk_length-1")
         if tuple(sorted(self.phases)) != self.phases:
             raise ValueError("phases must be sorted ascending")
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    """Audit outcome: full coverage flag plus every (node, slot) gap found."""
-
-    full_coverage: bool
-    violations: tuple[tuple[int, int], ...]
 
 
 def euler_walk(tree: ShortestPathTree) -> EulerWalk:
@@ -135,32 +125,3 @@ def residual_life_mean(p: PhaseSet) -> Fraction:
     """
     gaps = cyclic_gaps(p)
     return Fraction(sum(h * h for h in gaps), 2 * p.walk_length)
-
-
-def baseward_departure_slots(w: EulerWalk, node: int, p: PhaseSet) -> tuple[int, ...]:
-    """Per-period slot residues at which some conveyor leaves `node` toward
-    the base. A conveyor with offset phi stands at walk position j at every
-    slot t with (t + phi) mod L == j."""
-    if node == BASE:
-        raise NodeIsBase("the base has no baseward departures")
-    L = w.length
-    # A closed tour leaves a node for the last time across its parent edge,
-    # so the baseward step starts at the node's last visit before w_L.
-    try:
-        j = L - 1 - w.sequence[L - 1 :: -1].index(node)
-    except ValueError:
-        raise ValueError(f"node {node} does not appear in the walk") from None
-    return tuple(sorted((j - phi) % L for phi in p.phases))
-
-
-def coverage_audit(w: EulerWalk, p: PhaseSet) -> CoverageReport:
-    """Static check that every non-base node, at every slot residue, hosts a
-    conveyor that departs toward the base on the next step."""
-    L = w.length
-    violations: list[tuple[int, int]] = []
-    for node in sorted(set(w.sequence) - {BASE}):
-        covered = set(baseward_departure_slots(w, node, p))
-        for r in range(L):
-            if r not in covered:
-                violations.append((node, r))
-    return CoverageReport(full_coverage=not violations, violations=tuple(violations))

@@ -26,18 +26,19 @@ horizon is solved over its first H slots. A backward earliest-arrival DP
 solves one fleet period to a fixed point, then the prefix before t0, and
 gives each slot's first delivery slot. Conveyors pick up the freshest sample,
 so only the last sample generated before each pickup can reach the base: the
-replay works per pickup, not per sample. It holds each node's generation
-process as uint64 words of 64 slots and finds each pickup's sample by a bit
-scan of one word, then replays the nodes in order on the calling thread. A
-result keeps no delivery columns: its log is replayed through the same
-per-node function when it is read, and merged in blocks of whole slots, so
-a reader that consumes the log in slot order, such as the trace writer,
-never holds all of it. Within `shared_draws`, every run reads each node's
-words from one store, so a sweep draws each (seed, node, q, horizon)
-process once. The literal per-slot stepper, `run(cfg, engine="stepper")`,
-stays as the reference: it performs the five steps above as written, on the
-same fleet motion, and the tests assert bit-identical results across trees,
-phases, and batteries.
+replay works per pickup, not per sample, and `coverage_audit`,
+`unserved_nodes` and `pickup_wait_mean` read the same pickups. The replay
+holds each node's generation process as uint64 words of 64 slots and finds
+each pickup's sample by a bit scan of one word, then replays the nodes in
+order on the calling thread. A result keeps no delivery columns: its log is
+replayed through the same per-node function when it is read, and merged in
+blocks of whole slots, so a reader that consumes the log in slot order, such
+as the trace writer, never holds all of it. Within `shared_draws`, every run
+reads each node's words from one store, so a sweep draws each (seed, node,
+q, horizon) process once. The literal per-slot stepper, `run(cfg,
+engine="stepper")`, stays as the reference: it performs the five steps above
+as written, on the same fleet motion, and the tests assert bit-identical
+results across trees, phases, and batteries.
 """
 
 from __future__ import annotations
@@ -348,6 +349,61 @@ def unserved_nodes(cfg: SimConfig) -> tuple[int, ...]:
     if not arrivals.period:
         return ()
     return tuple(v for v in range(1, cfg.graph.node_count) if not arrivals.cycle[v].shape[1])
+
+
+@dataclass(frozen=True)
+class CoverageReport:
+    """Audit of one cycle of a fleet's motion, slots t0 .. t0 + period - 1:
+    each (node, slot) of the cycle whose sample does not reach the base in
+    the node's depth, and the nodes the cycle never picks up from. period 0:
+    the motion does not repeat inside the horizon, so there is no cycle to
+    audit and coverage is not full."""
+
+    violations: tuple[tuple[int, int], ...]
+    unserved: tuple[int, ...]
+    t0: int
+    period: int
+
+    @property
+    def full_coverage(self) -> bool:
+        return self.period > 0 and not self.violations and not self.unserved
+
+
+def coverage_audit(cfg: SimConfig) -> CoverageReport:
+    """Audit the cycle of cfg's fleet, the one its runs replay: node v is
+    covered at slot t of the cycle when t is a pickup with X(v, t) - t =
+    depth(v), the only way the sample of slot t reaches the base in depth(v)
+    slots. An unconstrained fleet repeats every L slots from slot 0, so its
+    slots are the walk residues. Unserved nodes (see `unserved_nodes`) are
+    reported as such, not slot by slot."""
+    arrivals, _ = _fleet(cfg)
+    t0, period = arrivals.t0, arrivals.period
+    violations = []
+    for v in range(1, cfg.graph.node_count) if period else ():
+        b, xb = arrivals.cycle[v]
+        if b.size:
+            missed = np.setdiff1d(np.arange(t0, t0 + period), b[xb - b == cfg.tree.depth[v]])
+            violations += [(v, int(t)) for t in missed]
+    return CoverageReport(tuple(violations), unserved_nodes(cfg), t0, period)
+
+
+def pickup_wait_mean(cfg: SimConfig) -> float:
+    """Average wait from each sensing completion to its node's first pickup
+    at or after it (0 when the pickup is the same slot), over [0,
+    cfg.horizon) of seed cfg.seed with no warmup, on the generation streams
+    and the fleet of `run`. A completion with no later pickup delivered
+    inside the horizon is not counted."""
+    arrivals, _ = _fleet(cfg)
+    total = count = 0
+    for node in range(1, cfg.graph.node_count):
+        q = success_probability(cfg.model, node - 1, cfg.alloc.m[node - 1])
+        gens = np.flatnonzero(generation_mask(cfg.seed, node, q, cfg.horizon))
+        b, _ = arrivals.pickups(node, cfg.horizon)
+        nxt = np.searchsorted(b, gens)
+        waited = nxt < b.size
+        total += int((b[nxt[waited]] - gens[waited]).sum())
+        count += int(waited.sum())
+    return total / count if count else float("nan")
 
 
 # ---------------------------------------------------------------------------

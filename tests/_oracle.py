@@ -1,7 +1,12 @@
-"""Independent oracles for the sensing allocator, used only by the tests.
+"""Independent oracles, used only by the tests.
 
 `brute_force_alloc` enumerates every allocation to check `water_fill`;
 `table_model` builds a model from explicit per-node mean sensing times.
+`baseward_departure_slots` and `static_coverage_audit` are the static pickup
+model of an unconstrained fleet, read off the walk and the phases alone: each
+conveyor picks up at its last visit of a node before the walk's end. The
+engine's pickups are a subset of these (a departure whose sample a later one
+overtakes is no pickup), so `coverage_audit` finds at least these gaps.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from itertools import combinations
 from math import comb
 
 import agecourier as ac
+from agecourier.graph_core import BASE
 from agecourier.sensing_alloc import InsufficientBudget, MaxMExceeded
 
 BRUTE_FORCE_LIMIT = 10**7
@@ -17,6 +23,10 @@ BRUTE_FORCE_LIMIT = 10**7
 
 class InstanceTooLarge(ValueError):
     """Brute-force enumeration would exceed the composition guard."""
+
+
+class NodeIsBase(ValueError):
+    """Operation asked about the base node, which never ships samples."""
 
 
 def brute_force_alloc(model: ac.SensingModel, n_s: int) -> ac.SensingAllocation:
@@ -52,3 +62,29 @@ def table_model(rows) -> ac.SensingModel:
     the single-robot means."""
     rows = tuple(tuple(float(v) for v in row) for row in rows)
     return ac.SensingModel(alphas=tuple(row[0] for row in rows), max_m=len(rows[0]), mu_table=rows)
+
+
+def baseward_departure_slots(w: ac.EulerWalk, node: int, p: ac.PhaseSet) -> tuple[int, ...]:
+    """Per-period slot residues at which some conveyor leaves `node` toward
+    the base. A conveyor with offset phi stands at walk position j at every
+    slot t with (t + phi) mod L == j."""
+    if node == BASE:
+        raise NodeIsBase("the base has no baseward departures")
+    L = w.length
+    # A closed tour leaves a node for the last time across its parent edge,
+    # so the baseward step starts at the node's last visit before w_L.
+    try:
+        j = L - 1 - w.sequence[L - 1 :: -1].index(node)
+    except ValueError:
+        raise ValueError(f"node {node} does not appear in the walk") from None
+    return tuple(sorted((j - phi) % L for phi in p.phases))
+
+
+def static_coverage_audit(w: ac.EulerWalk, p: ac.PhaseSet) -> tuple[tuple[int, int], ...]:
+    """Every (node, slot residue) at which no conveyor departs the non-base
+    node toward the base on the next step; none means full coverage."""
+    violations = []
+    for node in sorted(set(w.sequence) - {BASE}):
+        covered = set(baseward_departure_slots(w, node, p))
+        violations += [(node, r) for r in range(w.length) if r not in covered]
+    return tuple(violations)

@@ -115,6 +115,30 @@ def trend_config(
     )
 
 
+def every_slot_config(
+    graph: ac.Graph,
+    phase_set: ac.PhaseSet,
+    *,
+    horizon: int = 200,
+    seed: int = 0,
+    energy: ac.EnergyParams | None = None,
+) -> ac.SimConfig:
+    """A scenario on graph in which every node senses a sample every slot:
+    all alphas 1, so q = 1. Its horizon must pass the walk length for an
+    unconstrained fleet to repeat."""
+    k = graph.node_count - 1
+    return ac.SimConfig(
+        graph=graph,
+        phase_set=phase_set,
+        model=ac.make_model((1.0,) * k, max_m=1),
+        alloc=ac.SensingAllocation(m=(1,) * k),
+        horizon=horizon,
+        warmup=0,
+        seed=seed,
+        energy=energy,
+    )
+
+
 def random_tree_graph(rng, node_count: int) -> ac.Graph:
     """Random rooted tree: each node above 0 picks a parent below itself."""
     edges = [(int(rng.integers(0, i)), i) for i in range(1, node_count)]

@@ -29,12 +29,12 @@ from _support import (
     _verify_invariants,
     checked_run,
     checked_run_energy,
+    every_slot_config,
     paired_nonincreasing,
     random_tree_graph,
     record_acceptance,
     ref_config,
     ref_graph,
-    ref_walk,
     trend_config,
 )
 
@@ -187,21 +187,19 @@ def test_criterion_5_minimal_fleet_size():
     trees = [random_tree_graph(rng, int(rng.integers(2, 8))) for _ in range(8)]
     failures = 0
     for g in trees:
-        walk = ac.euler_walk(ac.shortest_path_tree(g))
-        L = walk.length
-        assert ac.coverage_audit(walk, ac.uniform_phases(L, L)).full_coverage
+        L = 2 * (g.node_count - 1)
+        assert ac.coverage_audit(every_slot_config(g, ac.uniform_phases(L, L))).full_coverage
         for combo in itertools.combinations(range(L), L - 1):
             p = ac.PhaseSet(phases=combo, walk_length=L)
-            assert not ac.coverage_audit(walk, p).full_coverage
+            assert not ac.coverage_audit(every_slot_config(g, p)).full_coverage
             failures += 1
 
-    walk = ref_walk()
-    assert ac.coverage_audit(walk, ac.uniform_phases(REF_L, REF_L)).full_coverage
+    assert ac.coverage_audit(ref_config(phases=ac.uniform_phases(REF_L, REF_L))).full_coverage
     # every one of the C(14,13) = 14 possible size-13 sets, a superset of any
     # 1000-sample draw
     for combo in itertools.combinations(range(REF_L), REF_L - 1):
         p = ac.PhaseSet(phases=combo, walk_length=REF_L)
-        assert not ac.coverage_audit(walk, p).full_coverage
+        assert not ac.coverage_audit(ref_config(phases=p)).full_coverage
         failures += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0

@@ -227,9 +227,9 @@ def test_shared_draws_leave_sweep_cells_unchanged(monkeypatch):
 
 
 def test_pickup_wait_matches_exact_residual_computation():
-    # single conveyor: the wait from a completion at residue r to the next
-    # baseward departure is deterministic, so the simulated mean must sit
-    # near the per-residue average weighted by the generation process
+    # the wait from a completion at residue r to its node's next pickup is
+    # deterministic, so the simulated mean must sit near the per-residue
+    # average weighted by the generation process
     cfg = ref_config(n_c=7, horizon=60_000)
     waits = [ac.pickup_wait_mean(dataclasses.replace(cfg, seed=s)) for s in range(5)]
     mean = sum(waits) / len(waits)
@@ -238,11 +238,13 @@ def test_pickup_wait_matches_exact_residual_computation():
     assert abs(mean - expect) < 0.02
 
 
-def test_pickup_wait_rejects_energy_configs():
-    # battery detours move conveyors off the walk the waits are computed from
+def test_pickup_wait_of_a_battery_fleet():
+    # the waits read the pickups of the fleet the run replays, detours included
     cfg = ref_config(n_c=4, energy=ac.EnergyParams(b_max=6.0, e_move=2.0, r_chg=0.5))
-    with pytest.raises(ConfigInvalid, match="energy"):
-        ac.pickup_wait_mean(cfg)
+    assert math.isfinite(ac.pickup_wait_mean(cfg))
+    # free moves never leave the walk: the unconstrained waits, bit for bit
+    free = ref_config(n_c=4, energy=ac.EnergyParams(b_max=6.0, e_move=0.0, r_chg=0.5))
+    assert ac.pickup_wait_mean(free) == ac.pickup_wait_mean(ref_config(n_c=4))
 
 
 def test_pickup_wait_checks_its_scenario_like_run():

@@ -16,7 +16,7 @@ from agecourier import analysis, cli, sim_engine
 from agecourier.cli import _TRACE_BLOCK, _scenario, _write_trace, main
 from agecourier.config import _FIELDS, ALLOCATION_STRATEGIES, PHASE_STRATEGIES
 
-from _support import REF_WATERFILL_10, checked_run, ref_config, traced_peak
+from _support import REF_WATERFILL_10, checked_run, ref_config, traced_peak, trend_config
 
 BASE_CONFIG = """\
 [graph]
@@ -409,6 +409,7 @@ def test_cli_walk_and_audit(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "audit", "--config", path)
     assert code == 0
     assert "full coverage: true" in out
+    assert "cycle: t0=0 period=14" in out
 
     partial = write_config(
         tmp_path, BASE_CONFIG.replace("n_c = 14", "n_c = 13"), name="partial.ini"
@@ -417,6 +418,28 @@ def test_cli_walk_and_audit(tmp_path, capsys):
     assert code == 0
     assert "full coverage: false" in out
     assert "violation: node=" in out
+
+    # a horizon of one walk length holds no cycle of the fleet to audit
+    short = BASE_CONFIG.replace("horizon = 1500", "horizon = 14").replace("warmup = 100", "warmup = 0")
+    code, out, _ = run_cli(capsys, "audit", "--config", write_config(tmp_path, short, name="short.ini"))
+    assert (code, out) == (
+        0, "full coverage: false\ncycle: none; the fleet's motion does not repeat within 14 slots\n"
+    )
+
+    # every offset of the trend tree staffed, yet the battery fleet strands
+    # two branches: the audit names the nodes that `unserved_nodes` names
+    # (TREND_CONFIG moves the fleet of `trend_config`; only its alphas differ)
+    fleet = dataclasses.replace(trend_config(b_max=8.0, seed=0), phase_set=ac.uniform_phases(18, 18))
+    text = TREND_CONFIG.replace("n_c = 14", "n_c = 18")
+    assert _scenario(ac.parse_config(text)).phase_set == fleet.phase_set
+    battery = write_config(tmp_path, text, name="battery.ini")
+    code, out, _ = run_cli(capsys, "audit", "--config", battery)
+    assert code == 0
+    assert out.splitlines()[0] == "full coverage: false"
+    assert sim_engine.unserved_nodes(fleet) == (1, 2, 3, 6, 7)
+    assert [l for l in out.splitlines() if l.startswith("unserved:")] == [
+        f"unserved: node={v}" for v in (1, 2, 3, 6, 7)
+    ]
 
 
 def test_cli_simulate_and_trace(tmp_path, capsys):

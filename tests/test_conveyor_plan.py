@@ -1,16 +1,28 @@
-"""Euler walks, phase schedules, gaps, and coverage audits."""
+"""Euler walks, phase schedules, gaps, and coverage audits, the last
+against the static pickup model of `_oracle`."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agecourier as ac
-from agecourier.conveyor_plan import BudgetOutOfRange, NodeIsBase
+from agecourier.conveyor_plan import BudgetOutOfRange
 
-from _support import REF_L, REF_WALK, random_tree_graph, ref_tree, ref_walk
+from _oracle import NodeIsBase, baseward_departure_slots, static_coverage_audit
+from _support import (
+    REF_L,
+    REF_WALK,
+    every_slot_config,
+    random_tree_graph,
+    ref_config,
+    ref_walk,
+)
 
 
 def test_reference_walk():
@@ -35,7 +47,7 @@ def test_walk_traverses_each_tree_edge_twice():
             assert (parent, child) in directed and (child, parent) in directed
         one = ac.PhaseSet((0,), walk.length)
         for node, parent in tree.parent.items():
-            (j,) = ac.baseward_departure_slots(walk, node, one)
+            (j,) = baseward_departure_slots(walk, node, one)
             assert walk.sequence[j + 1] == parent
 
 
@@ -137,29 +149,28 @@ def test_residual_life_exact_values():
 def test_baseward_departure_slots():
     walk = ref_walk()
     # node 1 departs toward the base on the walk step 3 -> 4 (nodes 1 -> 0)
-    assert ac.baseward_departure_slots(walk, 1, ac.PhaseSet((0,), 14)) == (3,)
+    assert baseward_departure_slots(walk, 1, ac.PhaseSet((0,), 14)) == (3,)
     # node 3 departs on step 2 -> 3
-    assert ac.baseward_departure_slots(walk, 3, ac.PhaseSet((0,), 14)) == (2,)
-    assert ac.baseward_departure_slots(walk, 3, ac.PhaseSet((0, 5), 14)) == (2, 11)
+    assert baseward_departure_slots(walk, 3, ac.PhaseSet((0,), 14)) == (2,)
+    assert baseward_departure_slots(walk, 3, ac.PhaseSet((0, 5), 14)) == (2, 11)
     # a conveyor with offset phi sees every index phi slots earlier
-    assert ac.baseward_departure_slots(walk, 7, ac.PhaseSet((2,), 14)) == (9,)
+    assert baseward_departure_slots(walk, 7, ac.PhaseSet((2,), 14)) == (9,)
     with pytest.raises(NodeIsBase):
-        ac.baseward_departure_slots(walk, 0, ac.PhaseSet((0,), 14))
+        baseward_departure_slots(walk, 0, ac.PhaseSet((0,), 14))
     with pytest.raises(ValueError):
-        ac.baseward_departure_slots(walk, 9, ac.PhaseSet((0,), 14))
+        baseward_departure_slots(walk, 9, ac.PhaseSet((0,), 14))
 
 
 def test_departures_cover_all_residues_iff_full():
     walk = ref_walk()
     full = ac.uniform_phases(14, 14)
     for node in range(1, 8):
-        assert ac.baseward_departure_slots(walk, node, full) == tuple(range(14))
+        assert baseward_departure_slots(walk, node, full) == tuple(range(14))
 
 
 def test_coverage_audit_reference():
-    walk = ref_walk()
-    assert ac.coverage_audit(walk, ac.uniform_phases(14, 14)).full_coverage
-    report = ac.coverage_audit(walk, ac.uniform_phases(14, 7))
+    assert ac.coverage_audit(ref_config(phases=ac.uniform_phases(14, 14))).full_coverage
+    report = ac.coverage_audit(ref_config(phases=ac.uniform_phases(14, 7)))
     assert not report.full_coverage
     # every non-base node misses exactly half the residues at half staffing
     assert len(report.violations) == 7 * 7
@@ -168,9 +179,8 @@ def test_coverage_audit_reference():
 
 
 def test_coverage_audit_every_thirteen_subset_fails():
-    walk = ref_walk()
     for phases in combinations(range(14), 13):
-        report = ac.coverage_audit(walk, ac.PhaseSet(phases, 14))
+        report = ac.coverage_audit(ref_config(phases=ac.PhaseSet(phases, 14)))
         assert not report.full_coverage
         assert report.violations
 
@@ -179,10 +189,44 @@ def test_coverage_audit_random_trees():
     rng = np.random.default_rng(17)
     for _ in range(10):
         n = int(rng.integers(2, 9))
-        tree = ac.shortest_path_tree(random_tree_graph(rng, n))
-        walk = ac.euler_walk(tree)
-        L = walk.length
-        assert ac.coverage_audit(walk, ac.uniform_phases(L, L)).full_coverage
+        g = random_tree_graph(rng, n)
+        L = 2 * (n - 1)
+        assert ac.coverage_audit(every_slot_config(g, ac.uniform_phases(L, L))).full_coverage
         if L > 1:
             partial = ac.uniform_phases(L, L - 1)
-            assert not ac.coverage_audit(walk, partial).full_coverage
+            assert not ac.coverage_audit(every_slot_config(g, partial)).full_coverage
+
+
+def test_coverage_audit_needs_a_cycle_inside_the_horizon():
+    # an unconstrained fleet first repeats at slot L: a horizon of L holds no
+    # cycle, so nothing is audited and coverage is not full
+    report = ac.coverage_audit(ref_config(horizon=REF_L, warmup=0))
+    assert (report.full_coverage, report.violations, report.unserved) == (False, (), ())
+    assert report.period == 0
+    report = ac.coverage_audit(ref_config(horizon=REF_L + 1, warmup=0))
+    assert (report.full_coverage, report.t0, report.period) == (True, 0, REF_L)
+
+
+@st.composite
+def _trees_and_uniform_phases(draw):
+    n = draw(st.integers(2, 10))
+    g = ac.build_graph(n, [(draw(st.integers(0, i - 1)), i) for i in range(1, n)])
+    L = 2 * (n - 1)
+    return g, ac.uniform_phases(L, draw(st.integers(1, L)))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_trees_and_uniform_phases())
+def test_coverage_audit_refines_the_static_departure_model(case):
+    # the engine's pickups are among the static model's departures, so it
+    # finds every static gap and perhaps more, yet the same verdict; on a
+    # spider (no node has two children) no departure is overtaken
+    g, phases = case
+    cfg = every_slot_config(g, phases)
+    report = ac.coverage_audit(cfg)
+    static = static_coverage_audit(cfg.walk, phases)
+    assert report.full_coverage == (not static)
+    assert set(static) <= set(report.violations)
+    children = Counter(p for p in cfg.tree.parent.values() if p != 0)
+    if max(children.values(), default=0) <= 1:
+        assert static == report.violations

@@ -34,6 +34,7 @@ from _support import (
     aoi_from_event_log_loop,
     checked_run,
     checked_run_energy,
+    every_slot_config,
     random_tree_graph,
     ref_config,
     ref_walk,
@@ -789,6 +790,38 @@ def test_arrival_dp_equals_stepper_property(cfg):
         _assert_identical(checked_run(cfg), _run_stepper(cfg))
     else:
         _assert_matches_stepper(cfg)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_random_instances())
+def test_coverage_audit_equals_the_stepper_log_at_q_one(drawn):
+    # every node senses every slot, so the sample of slot t reaches the base
+    # only if t is a pickup, at X(v, t); the literal stepper's log shows
+    # which slots of the fleet's cycle reach the base in the node's depth
+    cfg = every_slot_config(
+        drawn.graph, drawn.phase_set, horizon=3000, seed=drawn.seed, energy=drawn.energy
+    )
+    report = ac.coverage_audit(cfg)
+    t0, period = report.t0, report.period
+    if not period:  # no cycle inside the horizon: nothing to audit
+        assert (report.full_coverage, report.violations, report.unserved) == (False, (), ())
+        return
+    # a pickup reaches the base within one walk period, and P is a multiple
+    # of L, so every sample of the cycle that is delivered at all is logged
+    cfg = dataclasses.replace(cfg, horizon=t0 + 2 * period + 2)
+    assert ac.coverage_audit(cfg) == report
+    log = _run_stepper(cfg).delivery_log
+    in_cycle = (log.generated >= t0) & (log.generated < t0 + period)
+    on_time = log.delivered - log.generated == np.asarray(cfg.tree.depth)[log.origin]
+    violations, unserved = [], []
+    for v in range(1, cfg.graph.node_count):
+        mine = in_cycle & (log.origin == v)
+        if not mine.any():
+            unserved.append(v)
+            continue
+        covered = set(log.generated[mine & on_time].tolist())
+        violations += [(v, t) for t in range(t0, t0 + period) if t not in covered]
+    assert report == ac.CoverageReport(tuple(violations), tuple(unserved), t0, period)
 
 
 def _arrivals_of(cfg: ac.SimConfig):
