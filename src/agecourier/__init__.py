@@ -24,9 +24,6 @@ from .conveyor_plan import (
     uniform_phases,
     clustered_phases,
     random_phases,
-    cyclic_gaps,
-    gamma_max,
-    residual_life_mean,
 )
 from .sensing_alloc import (
     SensingModel,
@@ -50,7 +47,6 @@ from .sim_engine import (
     run_energy,
     aoi_from_event_log,
     coverage_audit,
-    pickup_wait_mean,
 )
 from .analysis import (
     BoundReport,

@@ -6,13 +6,13 @@ follows the same walk; a conveyor with phase offset phi occupies walk position
 (t + phi) mod L at slot t. The phase set fixes how often an unconstrained
 fleet passes each node; which samples reach the base in the node's depth is
 audited on the fleet's actual motion, batteries included
-(`sim_engine.coverage_audit`).
+(`sim_engine.coverage_audit`). The gap analytics of a phase set, its cyclic
+gaps and mean residual life, are read only by the tests (`tests/_oracle.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -102,26 +102,3 @@ def random_phases(n_c: int, walk_length: int, seed: int) -> PhaseSet:
 def _check_budget(n_c: int, walk_length: int) -> None:
     if not 1 <= n_c <= walk_length:
         raise BudgetOutOfRange(f"conveyor count {n_c} outside 1..{walk_length}")
-
-
-def cyclic_gaps(p: PhaseSet) -> list[int]:
-    """Gaps between cyclically consecutive phases; positive, summing to L."""
-    phases, L = p.phases, p.walk_length
-    gaps = [phases[i + 1] - phases[i] for i in range(len(phases) - 1)]
-    gaps.append(L - phases[-1] + phases[0])
-    return gaps
-
-
-def gamma_max(p: PhaseSet) -> int:
-    """Largest cyclic gap; the worst-case wait for the next conveyor."""
-    return max(cyclic_gaps(p))
-
-
-def residual_life_mean(p: PhaseSet) -> Fraction:
-    """Mean residual life of the conveyor arrival cycle, sum(h^2) / (2 L).
-
-    Returned as an exact Fraction so schedule comparisons never hinge on
-    float rounding.
-    """
-    gaps = cyclic_gaps(p)
-    return Fraction(sum(h * h for h in gaps), 2 * p.walk_length)

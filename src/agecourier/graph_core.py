@@ -84,15 +84,17 @@ def build_graph(node_count: int, edges) -> Graph:
             raise DuplicateEdge(f"duplicate edge ({e[0]}, {e[1]})")
         canon.add(e)
     g = Graph(node_count=node_count, edges=frozenset(canon))
-    dist = _bfs(g.adjacency(), node_count)
-    missing = [i for i, d in enumerate(dist) if d < 0]
+    missing = [i for i, d in enumerate(bfs_distances(g)) if d < 0]
     if missing:
         raise DisconnectedGraph(f"nodes unreachable from base: {missing}")
     return g
 
 
-def _bfs(adj: list[list[int]], node_count: int) -> list[int]:
-    dist = [-1] * node_count
+def bfs_distances(g: Graph) -> tuple[int, ...]:
+    """Hop distance from each node to the base; entry 0 is 0, and -1 marks a
+    node the base cannot reach."""
+    adj = g.adjacency()
+    dist = [-1] * g.node_count
     dist[BASE] = 0
     queue = deque([BASE])
     while queue:
@@ -101,12 +103,7 @@ def _bfs(adj: list[list[int]], node_count: int) -> list[int]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)
-    return dist
-
-
-def bfs_distances(g: Graph) -> tuple[int, ...]:
-    """Hop distance from each node to the base; entry 0 is 0."""
-    return tuple(_bfs(g.adjacency(), g.node_count))
+    return tuple(dist)
 
 
 def shortest_path_tree(g: Graph) -> ShortestPathTree:
@@ -116,7 +113,7 @@ def shortest_path_tree(g: Graph) -> ShortestPathTree:
     numbered one becomes the parent, so the tree is unique and reproducible.
     """
     adj = g.adjacency()
-    dist = _bfs(adj, g.node_count)
+    dist = bfs_distances(g)
     parent: dict[int, int] = {}
     for i in range(1, g.node_count):
         # adjacency lists are sorted, so the first eligible neighbor wins
@@ -124,4 +121,4 @@ def shortest_path_tree(g: Graph) -> ShortestPathTree:
             if dist[nbr] == dist[i] - 1:
                 parent[i] = nbr
                 break
-    return ShortestPathTree(parent=parent, depth=tuple(dist))
+    return ShortestPathTree(parent=parent, depth=dist)

@@ -26,11 +26,11 @@ horizon is solved over its first H slots. A backward earliest-arrival DP
 solves one fleet period to a fixed point, then the prefix before t0, and
 gives each slot's first delivery slot. Conveyors pick up the freshest sample,
 so only the last sample generated before each pickup can reach the base: the
-replay works per pickup, not per sample, and `coverage_audit`,
-`unserved_nodes` and `pickup_wait_mean` read the same pickups. The replay
-holds each node's generation process as uint64 words of 64 slots and finds
-each pickup's sample by a bit scan of one word, then replays the nodes in
-order on the calling thread. A result keeps no delivery columns: its log is
+replay works per pickup, not per sample, and `coverage_audit` and
+`unserved_nodes` read the same pickups. The replay holds each node's
+generation process as uint64 words of 64 slots and finds each pickup's
+sample by a bit scan of one word, then replays the nodes in order on the
+calling thread. A result keeps no delivery columns: its log is
 replayed through the same per-node function when it is read, and merged in
 blocks of whole slots, so a reader that consumes the log in slot order, such
 as the trace writer, never holds all of it. Within `shared_draws`, every run
@@ -385,25 +385,6 @@ def coverage_audit(cfg: SimConfig) -> CoverageReport:
             missed = np.setdiff1d(np.arange(t0, t0 + period), b[xb - b == cfg.tree.depth[v]])
             violations += [(v, int(t)) for t in missed]
     return CoverageReport(tuple(violations), unserved_nodes(cfg), t0, period)
-
-
-def pickup_wait_mean(cfg: SimConfig) -> float:
-    """Average wait from each sensing completion to its node's first pickup
-    at or after it (0 when the pickup is the same slot), over [0,
-    cfg.horizon) of seed cfg.seed with no warmup, on the generation streams
-    and the fleet of `run`. A completion with no later pickup delivered
-    inside the horizon is not counted."""
-    arrivals, _ = _fleet(cfg)
-    total = count = 0
-    for node in range(1, cfg.graph.node_count):
-        q = success_probability(cfg.model, node - 1, cfg.alloc.m[node - 1])
-        gens = np.flatnonzero(generation_mask(cfg.seed, node, q, cfg.horizon))
-        b, _ = arrivals.pickups(node, cfg.horizon)
-        nxt = np.searchsorted(b, gens)
-        waited = nxt < b.size
-        total += int((b[nxt[waited]] - gens[waited]).sum())
-        count += int(waited.sum())
-    return total / count if count else float("nan")
 
 
 # ---------------------------------------------------------------------------

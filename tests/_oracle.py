@@ -7,16 +7,23 @@ model of an unconstrained fleet, read off the walk and the phases alone: each
 conveyor picks up at its last visit of a node before the walk's end. The
 engine's pickups are a subset of these (a departure whose sample a later one
 overtakes is no pickup), so `coverage_audit` finds at least these gaps.
+`cyclic_gaps` and `residual_life_mean` are the gap analytics of a phase set
+behind acceptance criterion 4; `pickup_wait_mean` measures the waits that
+criterion 8 holds against `residual_life_mean`, on the engine's own pickups.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 import agecourier as ac
 from agecourier.graph_core import BASE
-from agecourier.sensing_alloc import InsufficientBudget, MaxMExceeded
+from agecourier.sensing_alloc import InsufficientBudget, MaxMExceeded, success_probability
+from agecourier.sim_engine import _fleet
 
 BRUTE_FORCE_LIMIT = 10**7
 
@@ -88,3 +95,40 @@ def static_coverage_audit(w: ac.EulerWalk, p: ac.PhaseSet) -> tuple[tuple[int, i
         covered = set(baseward_departure_slots(w, node, p))
         violations += [(node, r) for r in range(w.length) if r not in covered]
     return tuple(violations)
+
+
+def cyclic_gaps(p: ac.PhaseSet) -> list[int]:
+    """Gaps between cyclically consecutive phases; positive, summing to L."""
+    phases, L = p.phases, p.walk_length
+    gaps = [phases[i + 1] - phases[i] for i in range(len(phases) - 1)]
+    gaps.append(L - phases[-1] + phases[0])
+    return gaps
+
+
+def residual_life_mean(p: ac.PhaseSet) -> Fraction:
+    """Mean residual life of the conveyor arrival cycle, sum(h^2) / (2 L).
+
+    Returned as an exact Fraction so schedule comparisons never hinge on
+    float rounding.
+    """
+    gaps = cyclic_gaps(p)
+    return Fraction(sum(h * h for h in gaps), 2 * p.walk_length)
+
+
+def pickup_wait_mean(cfg: ac.SimConfig) -> float:
+    """Average wait from each sensing completion to its node's first pickup
+    at or after it (0 when the pickup is the same slot), over [0,
+    cfg.horizon) of seed cfg.seed with no warmup, on the generation streams
+    and the fleet of `run`. A completion with no later pickup delivered
+    inside the horizon is not counted."""
+    arrivals, _ = _fleet(cfg)
+    total = count = 0
+    for node in range(1, cfg.graph.node_count):
+        q = success_probability(cfg.model, node - 1, cfg.alloc.m[node - 1])
+        gens = np.flatnonzero(ac.generation_mask(cfg.seed, node, q, cfg.horizon))
+        b, _ = arrivals.pickups(node, cfg.horizon)
+        nxt = np.searchsorted(b, gens)
+        waited = nxt < b.size
+        total += int((b[nxt[waited]] - gens[waited]).sum())
+        count += int(waited.sum())
+    return total / count if count else float("nan")

@@ -13,7 +13,7 @@ from agecourier import analysis, sim_engine
 from agecourier.analysis import BudgetTooSmall
 from agecourier.sim_engine import ConfigInvalid
 
-from _oracle import table_model
+from _oracle import pickup_wait_mean, residual_life_mean, table_model
 from _support import (
     REF_ALPHAS,
     REF_BOUNDS_M1,
@@ -231,20 +231,20 @@ def test_pickup_wait_matches_exact_residual_computation():
     # deterministic, so the simulated mean must sit near the per-residue
     # average weighted by the generation process
     cfg = ref_config(n_c=7, horizon=60_000)
-    waits = [ac.pickup_wait_mean(dataclasses.replace(cfg, seed=s)) for s in range(5)]
+    waits = [pickup_wait_mean(dataclasses.replace(cfg, seed=s)) for s in range(5)]
     mean = sum(waits) / len(waits)
     # discrete waits 0..h-1 per gap average to sum(h^2)/(2L) - 1/2 = 0.5
-    expect = float(ac.residual_life_mean(cfg.phase_set)) - 0.5
+    expect = float(residual_life_mean(cfg.phase_set)) - 0.5
     assert abs(mean - expect) < 0.02
 
 
 def test_pickup_wait_of_a_battery_fleet():
     # the waits read the pickups of the fleet the run replays, detours included
     cfg = ref_config(n_c=4, energy=ac.EnergyParams(b_max=6.0, e_move=2.0, r_chg=0.5))
-    assert math.isfinite(ac.pickup_wait_mean(cfg))
+    assert math.isfinite(pickup_wait_mean(cfg))
     # free moves never leave the walk: the unconstrained waits, bit for bit
     free = ref_config(n_c=4, energy=ac.EnergyParams(b_max=6.0, e_move=0.0, r_chg=0.5))
-    assert ac.pickup_wait_mean(free) == ac.pickup_wait_mean(ref_config(n_c=4))
+    assert pickup_wait_mean(free) == pickup_wait_mean(ref_config(n_c=4))
 
 
 def test_pickup_wait_checks_its_scenario_like_run():
@@ -259,7 +259,7 @@ def test_pickup_wait_checks_its_scenario_like_run():
         warmup=0,
         seed=0,
     )
-    assert ac.pickup_wait_mean(cfg) >= 0
+    assert pickup_wait_mean(cfg) >= 0
     for change, match in (
         ({"phase_set": ac.PhaseSet((0,), 4)}, "different walk length"),
         ({"alloc": ac.SensingAllocation((1, 1))}, "covers 2 nodes"),
@@ -269,7 +269,7 @@ def test_pickup_wait_checks_its_scenario_like_run():
 
 
 def test_residual_life_mean_is_exact_fraction():
-    assert ac.residual_life_mean(ac.uniform_phases(14, 7)) == Fraction(1, 1)
-    val = ac.residual_life_mean(ac.clustered_phases(3, 14))
+    assert residual_life_mean(ac.uniform_phases(14, 7)) == Fraction(1, 1)
+    val = residual_life_mean(ac.clustered_phases(3, 14))
     assert isinstance(val, Fraction)
     assert val == Fraction(1 + 1 + 144, 28)

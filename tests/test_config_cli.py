@@ -2,9 +2,13 @@
 
 import dataclasses
 import json
+import os
+import re
 import runpy
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -862,3 +866,20 @@ def test_python_dash_m_runs_the_cli(tmp_path, capsys, monkeypatch):
         runpy.run_module("agecourier", run_name="__main__")
     assert exc.value.code == code == 0
     assert capsys.readouterr().out == expected
+
+
+def test_python_dash_m_runs_the_cli_module(tmp_path):
+    # `python -m agecourier.cli` runs main too, not only `python -m agecourier`
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = readme[readme.index("### Example config") : readme.index("### Config reference")]
+    path = tmp_path / "example.ini"
+    path.write_text(re.search(r"```ini\n(.*?)```", example, re.DOTALL).group(1))
+    src = str(root / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "agecourier.cli", "bound", "--config", str(path)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "node,bound" in proc.stdout.splitlines()

@@ -1,5 +1,5 @@
-"""Euler walks, phase schedules, gaps, and coverage audits, the last
-against the static pickup model of `_oracle`."""
+"""Euler walks, phase schedules, the gap analytics of `_oracle`, and coverage
+audits, the last against the static pickup model of `_oracle`."""
 
 import dataclasses
 from collections import Counter
@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 import agecourier as ac
 from agecourier.conveyor_plan import BudgetOutOfRange
 
-from _oracle import NodeIsBase, baseward_departure_slots, static_coverage_audit
+from _oracle import (
+    NodeIsBase,
+    baseward_departure_slots,
+    cyclic_gaps,
+    residual_life_mean,
+    static_coverage_audit,
+)
 from _support import (
     REF_L,
     REF_WALK,
@@ -124,26 +130,25 @@ def test_cyclic_gaps_partition_the_cycle():
         L = int(rng.integers(2, 30))
         n_c = int(rng.integers(1, L + 1))
         p = ac.random_phases(n_c, L, seed=int(rng.integers(1 << 30)))
-        gaps = ac.cyclic_gaps(p)
+        gaps = cyclic_gaps(p)
         assert len(gaps) == n_c
         assert all(g > 0 for g in gaps)
         assert sum(gaps) == L
-        assert ac.gamma_max(p) == max(gaps)
-    assert ac.cyclic_gaps(ac.PhaseSet(phases=(5,), walk_length=14)) == [14]
+    assert cyclic_gaps(ac.PhaseSet(phases=(5,), walk_length=14)) == [14]
 
 
 def test_uniform_gap_formula():
     # evenly spread offsets give the ceiling gap, on every cycle length
     for L in range(2, 26):
         for n_c in range(1, L + 1):
-            assert ac.gamma_max(ac.uniform_phases(L, n_c)) == -(-L // n_c)
+            assert max(cyclic_gaps(ac.uniform_phases(L, n_c))) == -(-L // n_c)
 
 
 def test_residual_life_exact_values():
-    assert ac.residual_life_mean(ac.uniform_phases(14, 7)) == Fraction(1)
-    assert ac.residual_life_mean(ac.uniform_phases(14, 2)) == Fraction(2 * 49, 28)
-    assert ac.residual_life_mean(ac.clustered_phases(2, 14)) == Fraction(1 + 169, 28)
-    assert ac.residual_life_mean(ac.uniform_phases(14, 4)) == Fraction(50, 28)
+    assert residual_life_mean(ac.uniform_phases(14, 7)) == Fraction(1)
+    assert residual_life_mean(ac.uniform_phases(14, 2)) == Fraction(2 * 49, 28)
+    assert residual_life_mean(ac.clustered_phases(2, 14)) == Fraction(1 + 169, 28)
+    assert residual_life_mean(ac.uniform_phases(14, 4)) == Fraction(50, 28)
 
 
 def test_baseward_departure_slots():

@@ -67,10 +67,10 @@ PUBLIC_NAMES = {
     "EnergyParams", "EulerWalk", "ExperimentConfig", "Graph", "PhaseRow", "PhaseSet",
     "SensingAllocation", "SensingModel", "ShortestPathTree", "SimConfig", "SimResult",
     "SweepCell", "allocation_objective", "aoi_from_event_log", "bfs_distances",
-    "build_graph", "clustered_phases", "coverage_audit", "cyclic_gaps", "euler_walk",
-    "gamma_max", "generation_mask", "load_config", "lower_bound", "make_model", "mean_std",
-    "mu", "parse_config", "phase_comparison", "pickup_wait_mean", "random_phases",
-    "render_config", "residual_life_mean", "run", "run_energy", "seed_runs",
+    "build_graph", "clustered_phases", "coverage_audit", "euler_walk",
+    "generation_mask", "load_config", "lower_bound", "make_model", "mean_std",
+    "mu", "parse_config", "phase_comparison", "random_phases",
+    "render_config", "run", "run_energy", "seed_runs",
     "shortest_path_tree", "split_sweep", "success_probability", "uniform_alloc",
     "uniform_phases", "water_fill",
 }
