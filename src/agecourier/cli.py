@@ -335,7 +335,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a fault, not a bad input: show where it came from
+        import traceback  # only on this path, so the CLI's start-up imports no more
+        traceback.print_exc()
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

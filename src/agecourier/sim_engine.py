@@ -151,27 +151,19 @@ class SimResult:
 
     Most callers read only the ages, so the result holds no delivery columns:
     `_log` replays the run's deliveries each time they are read and gives
-    their count and their blocks (see `_log_blocks`).
+    their blocks (see `_log_blocks`).
     """
 
     per_node_aoi: dict[int, float]
     network_aoi: float
     energy_trace: tuple[ConveyorEnergyStats, ...] | None = None
-    _log: Callable[[], tuple[int, Iterator[np.ndarray]]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _log: Callable[[], Iterator[np.ndarray]] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def delivery_log(self) -> DeliveryLog:
-        """The whole log, its four columns filled block by block."""
-        n, blocks = self._log()
-        columns = [np.empty(n, dtype=np.int64) for _ in range(4)]
-        at = 0
-        for rows in blocks:
-            for i, col in enumerate(columns):
-                col[at : at + len(rows)] = rows[:, i]
-            at += len(rows)
-            del rows  # not held while the next block is merged
+        """The whole log: `log_blocks()` concatenated, one int64 column at a time."""
+        blocks = [*self.log_blocks(), np.empty((0, 4), np.int32)]
+        columns = (np.concatenate([b[:, i] for b in blocks], dtype=np.int64) for i in range(4))
         return DeliveryLog(*columns)
 
     def log_blocks(self) -> Iterator[np.ndarray]:
@@ -180,7 +172,7 @@ class SimResult:
         generated and delivered (`SimConfig` keeps every slot below 2**31).
         Each call replays the run; the reference stepper keeps its events
         and gives them as one block."""
-        yield from self._log()[1]
+        yield from self._log()
 
 
 @dataclass(frozen=True)
@@ -550,7 +542,7 @@ def _run_stepper(cfg: SimConfig) -> SimResult:
         per_node_aoi=per_node,
         network_aoi=sum(per_node.values()) / k,
         energy_trace=None if cfg.energy is None else _energy_trace(stats),
-        _log=lambda: (len(rows), iter((rows,))),
+        _log=lambda: iter((rows,)),
     )
 
 
@@ -774,29 +766,27 @@ def _last_success(words: np.ndarray, before: np.ndarray, t: np.ndarray, below: b
     return buf
 
 
-def _log_blocks(deliveries, k: int) -> tuple[int, Iterator[np.ndarray]]:
-    """Replay nodes 1..k's deliveries on the calling thread, so one node's
-    transients are held at a time, and return the event count and the log's
-    blocks (see `SimResult.log_blocks`): slot order, origins ascending within
-    a slot.
+def _log_blocks(deliveries, k: int) -> Iterator[np.ndarray]:
+    """Replay nodes 1..k's deliveries in this call, not at the first block,
+    on the calling thread, so one node's transients are held at a time, and
+    return the log's blocks (see `SimResult.log_blocks`): slot order, origins
+    ascending within a slot.
 
-    Each node's sensing starts, generation and delivery slots are held as
-    int32 (`SimConfig` keeps the horizon below 2**31), 12 bytes an event; no
-    per-slot array is made. A block is 16 bytes an event, and merging it
-    holds about twice that.
+    Each node's sensing starts, generation and delivery slots (its
+    deliveries reversed) are held as int32 rows (`SimConfig` keeps the
+    horizon below 2**31), 12 bytes an event; no per-slot array is made. A
+    block is 16 bytes an event, and merging it holds about twice that.
     """
-    per_node = []
-    for node in range(1, k + 1):
-        dk, gk, sk = deliveries(node)
-        per_node.append(np.array((sk, gk, dk), dtype=np.int32))
+    per_node = [np.array(deliveries(node)[::-1], dtype=np.int32) for node in range(1, k + 1)]
+    return _merge_blocks(per_node)
+
+
+def _merge_blocks(per_node: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """per_node's rows of sensing starts, generations and deliveries as the
+    log's blocks. Each block spans the slots that _LOG_BLOCK events take at
+    the remaining events' mean rate, halved until it holds at most
+    _LOG_BLOCK events, so uneven delivery rates never grow a block past that."""
     n = sum(p.shape[1] for p in per_node)
-    return n, _merge_blocks(per_node, n)
-
-
-def _merge_blocks(per_node: list[np.ndarray], n: int) -> Iterator[np.ndarray]:
-    """Each block spans the slots that _LOG_BLOCK events take at the
-    remaining events' mean rate, halved until it holds at most _LOG_BLOCK
-    events, so uneven delivery rates never grow a block past that."""
     end = max((int(p[2, -1]) + 1 for p in per_node if p.shape[1]), default=0)
     at, start = [0] * len(per_node), 0
     while n:

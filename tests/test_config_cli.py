@@ -482,6 +482,18 @@ def test_a_trace_that_cannot_be_written_leaves_no_table(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_an_unexpected_error_prints_its_traceback(tmp_path, capsys, monkeypatch):
+    # not a bad input but a fault in the program: where it came from is shown
+    def boom(cfg, scenario):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "bound", boom)
+    code, out, err = run_cli(capsys, "bound", "--config", write_config(tmp_path))
+    assert (code, out) == (2, "")
+    assert "Traceback" in err and "in boom" in err
+    assert err.endswith("runtime error: boom\n")
+
+
 def test_each_table_takes_one_bound_per_row_group(tmp_path, capsys, monkeypatch):
     # simulate reads one floor for its whole table, sweep one per split in split order
     seen = []
