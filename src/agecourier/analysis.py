@@ -26,7 +26,11 @@ class BudgetTooSmall(ValueError):
 @dataclass(frozen=True)
 class BoundReport:
     per_node_bound: dict[int, float]
-    network_bound: float
+
+    @property
+    def network_bound(self) -> float:
+        """The mean of the per-node floors."""
+        return sum(self.per_node_bound.values()) / len(self.per_node_bound)
 
 
 @dataclass(frozen=True)
@@ -48,17 +52,19 @@ class PhaseRow:
 
 def lower_bound(cfg: SimConfig) -> BoundReport:
     """Per-node analytic age floor 2 mu_i(m_i) - 2 + d_i of the scenario `cfg`,
-    with d_i its tree depth, and the network mean."""
+    with d_i its tree depth; the report derives the network mean."""
     k, depth = cfg.model.node_count, cfg.tree.depth
     per_node = {
         i + 1: 2.0 * mu(cfg.model, i, cfg.alloc.m[i]) - 2.0 + depth[i + 1] for i in range(k)
     }
-    return BoundReport(per_node_bound=per_node, network_bound=sum(per_node.values()) / k)
+    return BoundReport(per_node_bound=per_node)
 
 
 def mean_std(values: list[float]) -> tuple[float, float]:
     """Mean and sample standard deviation (0 for a single value)."""
     n = len(values)
+    if not n:
+        raise ValueError("mean_std needs at least one value")
     mean = sum(values) / n
     if n < 2:
         return mean, 0.0

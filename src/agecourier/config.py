@@ -29,18 +29,18 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     node_count: int
     edges: tuple[tuple[int, int], ...]
     alphas: tuple[float, ...]
     allocation: str
-    n_s: int | None
-    m: tuple[int, ...] | None
-    max_m: int | None
+    n_s: int | None = None
+    m: tuple[int, ...] | None = None
+    max_m: int | None = None
     phase_strategy: str
     n_c: int
-    phase_seed: int
+    phase_seed: int = 0
     horizon: int
     warmup: int
     seeds: tuple[int, ...]
@@ -95,8 +95,6 @@ _KNOWN_KEYS = {s: {key for s2, key, *_ in _FIELDS if s2 == s} for s, *_ in _FIEL
 _WHERE = {field: (section, key) for section, key, field, *_ in _FIELDS}
 _ENERGY_FIELDS = tuple(f.name for f in fields(EnergyParams))
 _REQUIRED_SECTIONS = ("graph", "sensing", "conveyors", "simulation")
-# optional keys whose ExperimentConfig field has no default
-_ABSENT = {"n_s": None, "m": None, "max_m": None, "phase_seed": 0}
 
 
 def field_error(field: str, why: str) -> ConfigError:
@@ -167,6 +165,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise field_error("n_s", f"{n_s} robots are fewer than the {k} non-base nodes")
     if max_m is not None and max_m < 1:
         raise field_error("max_m", f"must be >= 1, got {max_m}")
+    if max_m is not None and allocation == "explicit" and max(m) > max_m:
+        raise field_error("m", f"entry {max(m)} exceeds max_m={max_m}")
     if max_m is not None and n_s is not None and n_s > k * max_m:
         raise field_error("n_s", f"{n_s} robots exceed {k} non-base nodes at max_m={max_m}")
     if v["phase_strategy"] not in PHASE_STRATEGIES:
@@ -220,7 +220,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if draws < 0:
             raise field_error("phases_random_draws", f"must be >= 0, got {draws}")
 
-    return ExperimentConfig(**{**_ABSENT, **v}, energy=energy)
+    return ExperimentConfig(**v, energy=energy)
 
 
 def load_config(path: str) -> ExperimentConfig:

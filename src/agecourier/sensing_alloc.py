@@ -6,11 +6,12 @@ slots with mean mu_i(m) = max(alpha_i / m, 1), so its per-slot success
 probability is q_i(m) = 1 / mu_i(m), which is min(m / alpha_i, 1) up to
 rounding. The marginal benefit of one extra robot shrinks as the group grows,
 which is exactly the structure the greedy water-filling allocator needs to be
-optimal. A `SensingModel` is one table of means and checks every rule of that
-structure when made, however it is built.
+optimal. A `SensingModel` is only its table of means, and checks every rule
+of that structure when made, however it is built; `make_model` fills the
+table from the alphas and checks the one rule they add.
 
-Model indices follow the alphas vector: index i corresponds to non-base node
-i + 1 once paired with a graph.
+Model indices follow the table's rows (make_model's alphas): index i
+corresponds to non-base node i + 1 once paired with a graph.
 """
 
 from __future__ import annotations
@@ -51,28 +52,21 @@ class SensingModel:
     """Per-node mean sensing times for every group size 1..max_m.
 
     mu_table[i][m - 1] is the mean completion time of node index i with m
-    robots; its per-slot success probability is the reciprocal. A model
-    checks every rule when made, in order: finite, positive alphas;
-    max_m >= 1; a row of max_m entries per alpha (one at least); finite,
-    positive means of at least one slot; and means that never rise, with
-    shrinking gains, so `water_fill` is optimal.
+    robots; its per-slot success probability is the reciprocal. The table is
+    the whole model, checked when made, in order: one row per node (one at
+    least), every row of one length max_m >= 1; finite means of at least one
+    slot; and means that never rise, with shrinking gains, so `water_fill`
+    is optimal.
     """
 
-    alphas: tuple[float, ...]
-    max_m: int
     mu_table: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        for i, a in enumerate(self.alphas):
-            if not 0 < a < inf:
-                raise NonPositiveAlpha(f"alpha at index {i} must be finite and > 0, got {a}")
-        if self.max_m < 1:
-            raise OutOfRange(f"max_m must be >= 1, got {self.max_m}")
-        k = len(self.alphas)
-        if k == 0:
+        if not self.mu_table:
             raise OutOfRange("a model needs at least one node")
-        if len(self.mu_table) != k or any(len(row) != self.max_m for row in self.mu_table):
-            raise OutOfRange(f"mu_table must hold {k} rows of max_m={self.max_m} entries")
+        lengths = sorted({len(row) for row in self.mu_table})
+        if len(lengths) > 1 or lengths[0] < 1:
+            raise OutOfRange(f"mu_table rows must all hold max_m >= 1 entries, got {lengths}")
         for i, row in enumerate(self.mu_table):
             if not all(0 < v < inf for v in row):
                 raise NonPositiveAlpha(f"mu values at index {i} must be finite and > 0")
@@ -89,7 +83,11 @@ class SensingModel:
 
     @property
     def node_count(self) -> int:
-        return len(self.alphas)
+        return len(self.mu_table)
+
+    @property
+    def max_m(self) -> int:
+        return len(self.mu_table[0])
 
 
 @dataclass(frozen=True)
@@ -108,14 +106,14 @@ class SensingAllocation:
 
 
 def make_model(alphas, max_m: int) -> SensingModel:
-    """Build the clamped parametric model's table; the model checks it."""
+    """The clamped model mu_i(m) = max(alpha_i / m, 1), m in 1..max_m. Alphas must
+    be finite and > 0; the model checks the rest (max_m >= 1, one alpha at least)."""
     alphas = tuple(float(a) for a in alphas)
+    for i, a in enumerate(alphas):
+        if not 0 < a < inf:
+            raise NonPositiveAlpha(f"alpha at index {i} must be finite and > 0, got {a}")
     ms = range(1, max_m + 1)
-    return SensingModel(
-        alphas=alphas,
-        max_m=max_m,
-        mu_table=tuple(tuple(max(a / m, 1.0) for m in ms) for a in alphas),
-    )
+    return SensingModel(mu_table=tuple(tuple(max(a / m, 1.0) for m in ms) for a in alphas))
 
 
 def _check_index(model: SensingModel, i: int, m: int) -> None:
@@ -148,7 +146,7 @@ def water_fill(model: SensingModel, n_s: int) -> SensingAllocation:
     """Greedy water-filling: start with one robot everywhere, then hand each
     spare robot to the node with the largest marginal benefit (ties to the
     lowest node index). Optimal because marginal benefits never increase."""
-    k = model.node_count
+    k, max_m = model.node_count, model.max_m
     if n_s < k:
         raise InsufficientBudget(f"need at least {k} robots, got {n_s}")
     m = [1] * k
@@ -156,14 +154,14 @@ def water_fill(model: SensingModel, n_s: int) -> SensingAllocation:
         best_i = -1
         best_b = -1.0
         for i in range(k):
-            if m[i] >= model.max_m:
+            if m[i] >= max_m:
                 continue
             b = model.mu_table[i][m[i] - 1] - model.mu_table[i][m[i]]
             if b > best_b:  # strict: ties go to the lowest node index
                 best_b = b
                 best_i = i
         if best_i < 0:
-            raise MaxMExceeded(f"all nodes already at max_m={model.max_m}")
+            raise MaxMExceeded(f"all nodes already at max_m={max_m}")
         m[best_i] += 1
     return SensingAllocation(m=tuple(m))
 

@@ -104,15 +104,23 @@ class DeliveryLog:
     delivered, one entry per event (32 bytes). The base logs a delivery only
     when it strictly refreshes its copy, so every event became the freshest:
     `became_freshest` is a read-only all-True view, kept for the trace format.
+    Columns must be 1-D, of one length and whole-valued; an int64 column is
+    kept as given, not copied.
     """
 
     __slots__ = ("origin", "sensing_start", "generated", "delivered")
 
     def __init__(self, origin, sensing_start, generated, delivered):
-        self.origin = np.asarray(origin, dtype=np.int64)
-        self.sensing_start = np.asarray(sensing_start, dtype=np.int64)
-        self.generated = np.asarray(generated, dtype=np.int64)
-        self.delivered = np.asarray(delivered, dtype=np.int64)
+        for name, values in zip(self.__slots__, (origin, sensing_start, generated, delivered)):
+            col = np.asarray(values)
+            if col.ndim != 1:
+                raise ValueError(f"DeliveryLog {name} must be 1-D, got shape {col.shape}")
+            if col.dtype.kind == "f" and not (np.isfinite(col) & (col == np.trunc(col))).all():
+                raise ValueError(f"DeliveryLog {name} must hold whole numbers")
+            setattr(self, name, col.astype(np.int64, copy=False))
+        sizes = [getattr(self, name).size for name in self.__slots__]
+        if len(set(sizes)) > 1:
+            raise ValueError(f"DeliveryLog columns must be of one length, got {sizes}")
 
     @property
     def became_freshest(self) -> np.ndarray:
@@ -149,15 +157,23 @@ class SimResult:
     """Exact ages of one run, and its base deliveries as `delivery_log` or
     as `log_blocks()`.
 
-    Most callers read only the ages, so the result holds no delivery columns:
-    `_log` replays the run's deliveries each time they are read and gives
-    their blocks (see `_log_blocks`).
+    Most callers read only the ages, so the result holds no delivery columns.
+    `log_blocks` is the run's log callable: each call replays the run's
+    deliveries and gives the log in slot order as blocks of whole slots, at
+    most _LOG_BLOCK events each: (events, 4) int32 rows of origin,
+    sensing_start, generated and delivered (`SimConfig` keeps every slot
+    below 2**31; see `_log_blocks`). The reference stepper keeps its events
+    and gives them as one block.
     """
 
     per_node_aoi: dict[int, float]
-    network_aoi: float
-    energy_trace: tuple[ConveyorEnergyStats, ...] | None = None
-    _log: Callable[[], Iterator[np.ndarray]] | None = field(default=None, repr=False, compare=False)
+    energy_trace: tuple[ConveyorEnergyStats, ...] | None
+    log_blocks: Callable[[], Iterator[np.ndarray]] = field(repr=False, compare=False)
+
+    @property
+    def network_aoi(self) -> float:
+        """The mean of the per-node ages."""
+        return sum(self.per_node_aoi.values()) / len(self.per_node_aoi)
 
     @cached_property
     def delivery_log(self) -> DeliveryLog:
@@ -165,14 +181,6 @@ class SimResult:
         blocks = [*self.log_blocks(), np.empty((0, 4), np.int32)]
         columns = (np.concatenate([b[:, i] for b in blocks], dtype=np.int64) for i in range(4))
         return DeliveryLog(*columns)
-
-    def log_blocks(self) -> Iterator[np.ndarray]:
-        """The log in slot order as blocks of whole slots, at most _LOG_BLOCK
-        events each: (events, 4) int32 rows of origin, sensing_start,
-        generated and delivered (`SimConfig` keeps every slot below 2**31).
-        Each call replays the run; the reference stepper keeps its events
-        and gives them as one block."""
-        yield from self._log()
 
 
 @dataclass(frozen=True)
@@ -540,9 +548,8 @@ def _run_stepper(cfg: SimConfig) -> SimResult:
     rows = np.array(events, dtype=np.int32).reshape(-1, 4)
     return SimResult(
         per_node_aoi=per_node,
-        network_aoi=sum(per_node.values()) / k,
         energy_trace=None if cfg.energy is None else _energy_trace(stats),
-        _log=lambda: iter((rows,)),
+        log_blocks=lambda: iter((rows,)),
     )
 
 
@@ -715,9 +722,8 @@ def _replay(cfg: SimConfig) -> SimResult:
     per_node = {node: age_sum(node) / n_slots for node in range(1, k + 1)}
     return SimResult(
         per_node_aoi=per_node,
-        network_aoi=sum(per_node.values()) / k,
         energy_trace=None if cfg.energy is None else energy_trace,
-        _log=partial(_log_blocks, deliveries, k),
+        log_blocks=partial(_log_blocks, deliveries, k),
     )
 
 

@@ -65,10 +65,8 @@ def brute_force_alloc(model: ac.SensingModel, n_s: int) -> ac.SensingAllocation:
 
 
 def table_model(rows) -> ac.SensingModel:
-    """A model of the given mean sensing times, one row per node; alphas are
-    the single-robot means."""
-    rows = tuple(tuple(float(v) for v in row) for row in rows)
-    return ac.SensingModel(alphas=tuple(row[0] for row in rows), max_m=len(rows[0]), mu_table=rows)
+    """A model of the given mean sensing times, one row per node."""
+    return ac.SensingModel(mu_table=tuple(tuple(float(v) for v in row) for row in rows))
 
 
 def baseward_departure_slots(w: ac.EulerWalk, node: int, p: ac.PhaseSet) -> tuple[int, ...]:

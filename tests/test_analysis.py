@@ -100,6 +100,14 @@ def test_seed_runs_is_lazy_and_dispatches_on_energy():
 def test_mean_std():
     assert ac.mean_std([2.0]) == (2.0, 0.0)
     assert ac.mean_std([1.0, 3.0]) == (2.0, math.sqrt(2.0))
+    # no values, as from a sweep or phase comparison over no seeds, is named
+    with pytest.raises(ValueError, match="mean_std needs at least one value"):
+        ac.mean_std([])
+    cfg = ref_config(horizon=300, warmup=30)
+    with pytest.raises(ValueError, match="mean_std needs at least one value"):
+        ac.split_sweep(cfg, 9, seeds=[])
+    with pytest.raises(ValueError, match="mean_std needs at least one value"):
+        ac.phase_comparison(cfg, [2], seeds=[])
 
 
 def test_split_sweep_budget_guard():

@@ -125,8 +125,8 @@ def _experiment_configs(draw):
     else:
         n_s = draw(st.integers(k, 4 * k))
     sweep_total = draw(st.none() | st.integers(n, 4 * n))
-    # the cap must hold n_s robots, and every sweep split's total - 1
-    fewest = -(-max(n_s or 0, (sweep_total or 1) - 1) // k)
+    # the cap must hold n_s robots, every sweep split's total - 1, and each m entry
+    fewest = max(-(-max(n_s or 0, (sweep_total or 1) - 1) // k), max(m or (1,)))
     phase_strategy = draw(st.sampled_from(PHASE_STRATEGIES))
     horizon = draw(st.integers(2, 10**6))
     energy = None
@@ -244,6 +244,9 @@ _GRAPH_AND_ALPHAS = BASE_CONFIG[: BASE_CONFIG.index("allocation")]  # [graph] th
          r"\[sweep\] total: 5 cannot cover 7 sensors plus one conveyor"),
         ("allocation = waterfill\nn_s = 10", "allocation = explicit\nm = 1, 1, 0, 2, 1, 2, 2",
          r"\[sensing\] m: every entry must be >= 1, got 0"),
+        ("allocation = waterfill\nn_s = 10",
+         "allocation = explicit\nm = 1, 1, 5, 1, 1, 1, 1\nmax_m = 2",
+         r"\[sensing\] m: entry 5 exceeds max_m=2"),
         ("alphas = 4, 6, 3,", "alphas = 4, 6, inf,",
          r"\[sensing\] alphas: must be finite and > 0, got inf"),
         ("alphas = 4, 6, 3,", "alphas = 4, 6, 0,",
@@ -260,7 +263,8 @@ _GRAPH_AND_ALPHAS = BASE_CONFIG[: BASE_CONFIG.index("allocation")]  # [graph] th
     ids=["alphas", "m", "n_s", "n_c", "n_c_zero", "n_c_values", "random_draws",
          "max_m", "n_s_over_max_m", "sweep_total_over_max_m", "n_c_values_empty",
          "seeds_negative", "phase_seed_negative", "n_s_below_nodes", "sweep_total_below_nodes",
-         "m_below_one", "alphas_infinite", "alphas_zero", "m_unused", "nodes_zero", "nodes_one"],
+         "m_below_one", "m_over_max_m", "alphas_infinite", "alphas_zero", "m_unused", "nodes_zero",
+         "nodes_one"],
 )
 def test_fields_that_disagree_are_named(old, new, message):
     with pytest.raises(ac.ConfigError, match=message):

@@ -22,12 +22,12 @@ from _support import REF_ALPHAS, REF_WATERFILL_10, ref_model
 
 def test_parametric_tables():
     model = ac.make_model((4.0,), max_m=5)
-    assert [f.name for f in dataclasses.fields(ac.SensingModel)] == ["alphas", "max_m", "mu_table"]
+    assert [f.name for f in dataclasses.fields(ac.SensingModel)] == ["mu_table"]
     assert model.mu_table[0] == (4.0, 2.0, 4.0 / 3.0, 1.0, 1.0)
     assert [ac.success_probability(model, 0, m) for m in range(1, 6)] == [0.25, 0.5, 0.75, 1.0, 1.0]
     assert ac.mu(model, 0, 1) == 4.0
     assert ac.success_probability(model, 0, 4) == 1.0
-    assert model.node_count == 1
+    assert (model.node_count, model.max_m) == (1, 5)
 
 
 def test_mu_times_q_is_one_before_the_clamp():
@@ -53,15 +53,15 @@ def test_make_model_rejects_bad_inputs():
 
 def test_table_model_roundtrip_and_validation():
     model = table_model(((6.0, 3.0, 2.0), (2.0, 1.0, 1.0)))
-    assert model.max_m == 3
-    assert model.alphas == (6.0, 2.0)
+    assert (model.node_count, model.max_m) == (2, 3)
+    assert model.mu_table == ((6.0, 3.0, 2.0), (2.0, 1.0, 1.0))
     assert [ac.success_probability(model, 0, m) for m in (1, 2, 3)] == [1.0 / 6.0, 1.0 / 3.0, 0.5]
     with pytest.raises(OutOfRange):
-        ac.SensingModel(alphas=(), max_m=1, mu_table=())
+        ac.SensingModel(mu_table=())
     with pytest.raises(OutOfRange):
-        ac.SensingModel(alphas=(2.0, 2.0), max_m=2, mu_table=((2.0, 1.0), (2.0,)))
+        ac.SensingModel(mu_table=((2.0, 1.0), (2.0,)))
     with pytest.raises(NonPositiveAlpha):
-        ac.SensingModel(alphas=(2.0,), max_m=2, mu_table=((2.0, 0.0),))
+        ac.SensingModel(mu_table=((2.0, 0.0),))
     # mean sensing time must never rise with more robots
     with pytest.raises(ConvexityViolation):
         table_model(((2.0, 3.0),))
@@ -71,53 +71,58 @@ def test_table_model_roundtrip_and_validation():
     assert exc.value.node == 0 and exc.value.m == 2
     # a model checks itself when made, so one built directly never reaches water_fill
     with pytest.raises(ConvexityViolation) as exc:
-        ac.SensingModel(alphas=(5.0,), max_m=3, mu_table=((5.0, 4.0, 1.0),))
+        ac.SensingModel(mu_table=((5.0, 4.0, 1.0),))
     assert exc.value.node == 0 and exc.value.m == 2
 
 
-_GOOD = dict(alphas=(4.0, 2.0), max_m=2, mu_table=((4.0, 2.0), (2.0, 1.0)))
+_GOOD = ((4.0, 2.0), (2.0, 1.0))
 
 
 @pytest.mark.parametrize(
-    "change, error, message",
+    "table, error, message",
     [
-        ({"mu_table": ((4.0, 2.0), (2.0,))}, OutOfRange, "mu_table must hold 2 rows of max_m=2"),
-        ({"mu_table": ((4.0, 2.0),)}, OutOfRange, "mu_table must hold 2 rows of max_m=2"),
+        (((4.0, 2.0), (2.0,)), OutOfRange,
+         r"mu_table rows must all hold max_m >= 1 entries, got \[1, 2\]"),
         # q = 1 / mu: a mean below one slot is a q above one, an infinite mean a q of zero
-        ({"mu_table": ((4.0, 2.0), (2.0, 0.5))}, OutOfRange,
+        (((4.0, 2.0), (2.0, 0.5)), OutOfRange,
          "mu values at index 1 must be at least one slot"),
-        ({"mu_table": ((float("inf"), 2.0), (2.0, 1.0))}, NonPositiveAlpha,
+        (((float("inf"), 2.0), (2.0, 1.0)), NonPositiveAlpha,
          "mu values at index 0 must be finite and > 0"),
-        ({"mu_table": ((4.0, 2.0), (2.0, -1.0))}, NonPositiveAlpha, "mu values at index 1"),
-        ({"mu_table": ((4.0, 0.0), (2.0, 1.0))}, NonPositiveAlpha, "mu values at index 0"),
-        ({"max_m": 0, "mu_table": ((), ())}, OutOfRange,
-         "max_m must be >= 1, got 0"),
-        ({"alphas": (4.0, -1.0)}, NonPositiveAlpha, "alpha at index 1 must be finite and > 0"),
-        ({"alphas": (float("nan"), 2.0)}, NonPositiveAlpha, "finite"),
+        (((4.0, 2.0), (2.0, -1.0)), NonPositiveAlpha, "mu values at index 1"),
+        (((4.0, 0.0), (2.0, 1.0)), NonPositiveAlpha, "mu values at index 0"),
+        (((), ()), OutOfRange, r"mu_table rows must all hold max_m >= 1 entries, got \[0\]"),
+        # a node's alpha is its one-robot mean, the first entry of its row
+        (((4.0, 2.0), (-1.0, -2.0)), NonPositiveAlpha,
+         "mu values at index 1 must be finite and > 0"),
+        (((float("nan"), 2.0), (2.0, 1.0)), NonPositiveAlpha,
+         "mu values at index 0 must be finite and > 0"),
     ],
-    ids=["ragged", "missing_row", "q_above_one", "q_zero", "mu_negative",
-         "mu_zero", "max_m_zero", "alpha_negative", "alpha_nan"],
+    ids=["ragged", "q_above_one", "q_zero", "mu_negative", "mu_zero", "max_m_zero",
+         "alpha_negative", "alpha_nan"],
 )
-def test_a_directly_built_model_checks_every_rule(change, error, message):
-    ac.SensingModel(**_GOOD)
+def test_a_directly_built_model_checks_every_rule(table, error, message):
+    ac.SensingModel(mu_table=_GOOD)
     with pytest.raises(error, match=message):
-        ac.SensingModel(**{**_GOOD, **change})
+        ac.SensingModel(mu_table=table)
 
 
 def test_make_model_leaves_every_check_to_the_model():
-    # faults surface as the model's own errors, in the model's order
+    # make_model checks only the rule its alphas add, before it builds the
+    # table; every other fault surfaces as the model's own error
     with pytest.raises(NonPositiveAlpha, match="alpha at index 0"):
         ac.make_model((0.0,), max_m=0)
-    with pytest.raises(NonPositiveAlpha, match="alpha at index 0"):
-        ac.make_model((float("nan"),), max_m=2)
-    with pytest.raises(OutOfRange, match="max_m must be >= 1, got -2"):
+    with pytest.raises(NonPositiveAlpha, match="alpha at index 1 must be finite and > 0, got -1.0"):
+        ac.make_model((4.0, -1.0), max_m=2)
+    with pytest.raises(NonPositiveAlpha, match="alpha at index 0 must be finite and > 0, got nan"):
+        ac.make_model((float("nan"), 2.0), max_m=2)
+    with pytest.raises(OutOfRange, match=r"max_m >= 1 entries, got \[0\]"):
         ac.make_model((4.0,), max_m=-2)
     with pytest.raises(OutOfRange, match="a model needs at least one node"):
         ac.make_model((), max_m=2)
     # q is exactly the reciprocal of the clamped mean
     alphas = np.random.default_rng(24).uniform(0.2, 12.0, size=50)
     model = ac.make_model(alphas, max_m=13)
-    for i, a in enumerate(model.alphas):
+    for i, a in enumerate(alphas.tolist()):
         q_row = [ac.success_probability(model, i, m) for m in range(1, 14)]
         assert q_row == [1.0 / max(a / m, 1.0) for m in range(1, 14)]
 
@@ -146,7 +151,15 @@ def test_success_probability_is_exactly_one_over_mu():
     with pytest.raises(OutOfRange, match="mu values at index 2 must be at least one slot"):
         table_model(((3.0, 2.0), (2.0, 1.0), (2.0, 0.5)))
     with pytest.raises(NonPositiveAlpha, match="mu values at index 1 must be finite"):
-        ac.SensingModel(alphas=(3.0, 2.0), max_m=2, mu_table=((3.0, 2.0), (float("inf"), 1.0)))
+        ac.SensingModel(mu_table=((3.0, 2.0), (float("inf"), 1.0)))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.floats(0.2, 50.0), min_size=1, max_size=8), st.integers(1, 12))
+def test_a_model_rebuilt_from_its_table_is_the_same_model(alphas, max_m):
+    model = ac.make_model(alphas, max_m)
+    assert ac.SensingModel(mu_table=model.mu_table) == model
+    assert (model.max_m, model.node_count) == (max_m, len(alphas))
 
 
 def test_parametric_family_never_violates_convexity():

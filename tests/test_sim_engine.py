@@ -460,7 +460,7 @@ def test_a_log_replay_peaks_below_four_times_its_held_deliveries(cfg):
     # for the peak to stay under four times the held bytes.
     res = _run(cfg)
     n = len(res.delivery_log)
-    _, peak = traced_peak(res._log)
+    _, peak = traced_peak(res.log_blocks)
     assert n > 100_000
     assert peak < 4 * 12 * n
 
@@ -545,6 +545,22 @@ def test_event_log_no_events_is_a_pure_ramp():
     empty = ac.DeliveryLog([], [], [], [])
     out = ac.aoi_from_event_log(empty, horizon=9, origins=[1, 2])
     assert out == {1: 36 / 9, 2: 36 / 9}
+
+
+def test_a_delivery_log_checks_its_columns():
+    with pytest.raises(ValueError, match=r"of one length, got \[2, 1, 1, 1\]"):
+        ac.DeliveryLog([1, 2], [0], [0], [5])
+    with pytest.raises(ValueError, match=r"origin must be 1-D, got shape \(1, 2\)"):
+        ac.DeliveryLog([[1, 2]], [0, 0], [1, 1], [5, 5])
+    with pytest.raises(ValueError, match="origin must hold whole numbers"):
+        ac.DeliveryLog([1.7], [0.2], [0], [5])
+    with pytest.raises(ValueError, match="sensing_start must hold whole numbers"):
+        ac.DeliveryLog([1], [float("nan")], [0], [5])
+    # whole floats are taken, and an int64 column is kept as given
+    log = ac.DeliveryLog([1.0], [0.0], [2], [5])
+    assert log.origin.dtype == np.int64 and log == ac.DeliveryLog([1], [0], [2], [5])
+    delivered = np.array([5, 7], dtype=np.int64)
+    assert ac.DeliveryLog([1, 1], [0, 3], [2, 4], delivered).delivered is delivered
 
 
 def test_event_log_respects_order():
