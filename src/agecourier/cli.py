@@ -242,15 +242,16 @@ def _write_trace(path: str, blocks: Iterable[np.ndarray], seed: int) -> None:
     is exactly json.dumps of the event's dict (keys in column order, default
     separators), written as ASCII bytes. Every event refreshed the base copy,
     so `became_freshest` is always true and each line fills one template:
-    _TRACE_BLOCK rows are formatted at once, the template repeated per event
-    and filled from the rows' values in order.
+    _TRACE_BLOCK rows at a time fill the template repeated _TRACE_BLOCK
+    times, built once per call and cut short for a block's shorter tail.
     """
+    template = _TRACE_EVENT * _TRACE_BLOCK
     with open(path, "wb") as fh:
         fh.write(json.dumps({"version": __version__, "seed": seed}).encode() + b"\n")
         for rows in blocks:
             for lo in range(0, len(rows), _TRACE_BLOCK):
                 values = rows[lo : lo + _TRACE_BLOCK].ravel().tolist()
-                fh.write((_TRACE_EVENT * (len(values) // 4)) % tuple(values))
+                fh.write(template[: len(values) // 4 * len(_TRACE_EVENT)] % tuple(values))
             del rows  # not held while the next block is merged
 
 

@@ -276,10 +276,10 @@ _DRAWS: ContextVar[dict | None] = ContextVar("_DRAWS", default=None)
 @contextmanager
 def shared_draws():
     """Within this block, runs read each node's generation process from one
-    store keyed by (seed, node, q, horizon), as the words of its mask (see
-    `_words`; 8 * ceil(H / 64) bytes an entry); a missing entry is drawn and
-    stored. A run keeps the store it started with, so its log replays from
-    it after the block ends. The outer store comes back on exit."""
+    store keyed by (seed, node, q, horizon), in the form `_words` returns:
+    read-only native uint64 words, 8 * ceil(H / 64) bytes an entry, drawn and
+    stored at the first read. A run keeps the store it started with, so its
+    log replays from it after the block ends. The outer store comes back on exit."""
     token = _DRAWS.set({})
     try:
         yield
@@ -288,21 +288,20 @@ def shared_draws():
 
 
 def _words(draws: dict | None, seed: int, node: int, q: float, horizon: int):
-    """node's generation mask as native uint64 words, read from draws when
-    given, and before[w], the last success ahead of word w (-1: none).
+    """node's generation mask as read-only native uint64 words, the stored entry
+    itself with draws, and before[w], the last success ahead of word w (-1: none).
 
     The words are the mask's packed bits, padded with zeros to whole words
-    and read big endian: slot 64 w + i is bit 63 - i of word w, so a word
-    x's last success is its lowest set bit, slot 64 w + 64 -
+    and read big endian once, when drawn: slot 64 w + i is bit 63 - i of word
+    w, so a word x's last success is its lowest set bit, slot 64 w + 64 -
     bitwise_count(x ^ (x - 1))."""
-    key = (seed, node, q, horizon)
-    packed = None if draws is None else draws.get(key)
-    if packed is None:
+    key, draws = (seed, node, q, horizon), {} if draws is None else draws
+    words = draws.get(key)
+    if words is None:
         bits = np.packbits(generation_mask(seed, node, q, horizon))
-        packed = np.pad(bits, (0, -bits.size % 8)).view(">u8")
-        if draws is not None:
-            draws[key] = packed
-    words = packed.astype(np.uint64)
+        words = np.pad(bits, (0, -bits.size % 8)).view(">u8").astype(np.uint64)
+        words.setflags(write=False)  # a stored entry is shared by every later read
+        draws[key] = words
     last = 64 * np.arange(1, words.size + 1) - np.bitwise_count(words ^ (words - 1))
     before = np.maximum.accumulate(np.concatenate(([-1], np.where(words, last, -1)[:-1])))
     return words, before
@@ -577,23 +576,22 @@ class _Arrivals:
 
     def pickups(self, node: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
         """node's pickup slots b with X(node, b) < horizon, and X(node, b)
-        there, in slot order: the prefix, then the cycle every period slots.
+        there, in slot order: one table of the prefix, then the cycle every
+        period slots, cut where X reaches the horizon.
 
         A sample in node's cache at a pickup slot b is picked up for delivery
         at X(node, b), and the samples of b + 1 wait for a later conveyor.
         """
-        times, arrive = self.prefix[node]
-        b, xb = self.cycle[node]
-        P = self.period
-        wraps = -(-(horizon - int(xb[0])) // P) if b.size else 0  # periods with some X(b) < horizon
+        prefix, cycle, P = self.prefix[node], self.cycle[node], self.period
+        n, c = prefix.shape[1], cycle.shape[1]
+        wraps = max(0, -(-(horizon - int(cycle[1, 0])) // P)) if c else 0  # periods with some X < H
         shift = P * np.arange(wraps)[:, None]
-        b, xb = (b + shift).ravel(), (xb + shift).ravel()
-        late = np.searchsorted(xb, horizon)  # X rises, so the cut is one search
-        b, xb = b[:late], xb[:late]
-        early = np.searchsorted(arrive, horizon)
-        if not early:  # no prefix pickup, as in every unconstrained run
-            return b, xb
-        return np.concatenate((times[:early], b)), np.concatenate((arrive[:early], xb))
+        table = np.empty((2, n + wraps * c), dtype=np.int64)
+        table[:, :n] = prefix
+        for row, times in zip(table, cycle):  # 2-D broadcasts keep numpy's buffers small
+            np.add(times, shift, out=row[n:].reshape(wraps, c))
+        late = np.searchsorted(table[1], horizon)  # X rises across the prefix and every wrap
+        return table[0, :late], table[1, :late]
 
 
 def _backward(trajectory, x: list[int], lo: int, hi: int):
@@ -648,7 +646,7 @@ def _arrivals(trajectory, t0: int, node_count: int) -> _Arrivals:
     return _Arrivals(t0, period, _backward(trajectory, x, 0, t0), cycle)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)
 def _fleet_arrivals(
     graph: Graph, phase_set: PhaseSet, energy: EnergyParams | None, seed: int, horizon: int
 ) -> tuple[_Arrivals, tuple[ConveyorEnergyStats, ...]]:
@@ -663,7 +661,7 @@ def _fleet_arrivals(
     at t = L, giving t0 = 0, P = L. The counters then get the whole remaining
     cycles' counts, and the partial last cycle is stepped. With no repeat
     inside the horizon, the trajectory is the first H slots with no cycle.
-    The cache shares the result, so its pickup arrays are read-only.
+    The cache holds the one fleet being replayed and shares it: its pickups are read-only.
     """
     L = phase_set.walk_length
     stats = [[0] * len(phase_set.phases) for _ in range(4)]
@@ -745,6 +743,7 @@ def _deliveries(cfg: SimConfig, arrivals: _Arrivals, draws: dict | None, node: i
     b, dk = arrivals.pickups(node, cfg.horizon)
     gk = _last_success(words, before, b)  # the last sample at or before each pickup
     new = np.concatenate((gk[:1] >= 0, gk[1:] != gk[:-1]))  # not taken by an earlier pickup
+    del b  # so the cut of dk frees the pickup table before the second scan
     gk, dk = gk[new], dk[new]
     return dk, gk, _last_success(words, before, gk, below=True) + 1  # one past the previous sample
 

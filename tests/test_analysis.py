@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import agecourier as ac
-from agecourier import analysis, sim_engine
+from agecourier import analysis, cli, sim_engine
 from agecourier.analysis import BudgetTooSmall
 from agecourier.sim_engine import ConfigInvalid
 
@@ -211,12 +211,63 @@ def test_sweeps_draw_each_generation_process_once(mask_calls):
     assert sorted(mask_calls) == sorted(_processes(cfg, [cfg.alloc], seeds))
 
 
+_CACHE_CONFIG = """\
+[graph]
+nodes = 8
+edges = 0-1, 1-3, 0-2, 2-4, 0-5, 5-6, 6-7
+
+[sensing]
+alphas = 4, 6, 3, 9, 6, 8, 7
+allocation = waterfill
+n_s = 10
+
+[conveyors]
+phases = uniform
+n_c = 5
+
+[simulation]
+horizon = 600
+warmup = 60
+seeds = 0, 1, 2
+"""
+
+
+def _fleet_builds(fn, *args, **kwargs) -> int:
+    """How many fleets `fn(*args, **kwargs)` builds, from a cleared cache."""
+    sim_engine._fleet_arrivals.cache_clear()
+    fn(*args, **kwargs)
+    return sim_engine._fleet_arrivals.cache_info().misses
+
+
 def test_sweeps_build_one_fleet_arrivals_per_split():
     # every seed of a split shares its phase set's arrivals: an unconstrained
     # fleet's motion is not keyed on the seed
     sim_engine._fleet_arrivals.cache_clear()
     cells, _ = ac.split_sweep(ref_config(horizon=600, warmup=60), 10, seeds=[0, 1, 2])
     assert sim_engine._fleet_arrivals.cache_info().misses == len(cells) == 3
+
+    # the cache keeps one fleet, and every caller replays a fleet's seeds
+    # back to back, so each subcommand builds each of its fleets once
+    assert sim_engine._fleet_arrivals.cache_info().maxsize == 1
+    cfg = ref_config(horizon=600, warmup=60)
+    L = cfg.walk.length
+    schedules = [
+        phases
+        for n_c in (2, 5)
+        for phases in (ac.uniform_phases(L, n_c), ac.clustered_phases(n_c, L))
+        + tuple(ac.random_phases(n_c, L, j) for j in range(2))
+    ]
+    assert len(set(schedules)) == len(schedules) == 8  # no fleet comes back later
+    assert _fleet_builds(ac.phase_comparison, cfg, (2, 5), [0, 1, 2], random_draws=2) == 8
+    exp = ac.parse_config(_CACHE_CONFIG)
+    battery = ac.parse_config(_CACHE_CONFIG + "\n[energy]\nb_max = 4\ne_move = 1\nr_chg = 1\n")
+    for exp_cfg, command, builds in (
+        (exp, cli.cmd_simulate, 1),  # an unconstrained fleet is keyed on seed 0
+        (battery, cli.cmd_simulate, len(battery.seeds)),  # each seed's run, then its unserved nodes
+        (exp, cli.cmd_audit, 1),
+        (battery, cli.cmd_audit, 1),
+    ):
+        assert _fleet_builds(command, exp_cfg, cli._scenario(exp_cfg)) == builds
 
 
 def test_shared_draws_leave_sweep_cells_unchanged(monkeypatch):

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import agecourier as ac
@@ -321,6 +321,25 @@ def test_a_log_read_after_shared_draws_replays_their_store(cfg, monkeypatch):
     monkeypatch.setattr(sim_engine, "generation_mask", no_draw)
     assert res.delivery_log == expected.delivery_log
     assert res.per_node_aoi == expected.per_node_aoi
+
+
+def test_a_stored_process_is_the_read_only_words_every_read_returns(monkeypatch):
+    # the store holds each process in the one form the word scan reads, so a
+    # later read neither draws nor converts it
+    cfg = trend_config(b_max=30.0, seed=2, horizon=1500, warmup=100)
+    with sim_engine.shared_draws():
+        ac.run_energy(cfg)
+        store = dict(sim_engine._DRAWS.get())
+    assert len(store) == cfg.graph.node_count - 1
+
+    def no_draw(*args):
+        raise AssertionError("a stored process was drawn again")
+
+    monkeypatch.setattr(sim_engine, "generation_mask", no_draw)
+    for key, words in store.items():
+        assert words.dtype == np.uint64 and words.dtype.isnative
+        assert not words.flags.writeable
+        assert sim_engine._words(store, *key)[0] is words
 
 
 def _reachable_arrays(root) -> dict[int, np.ndarray]:
@@ -913,6 +932,29 @@ def test_deliveries_never_overtake_property(cfg):
             assert np.all(xb >= b + cfg.tree.depth[v])
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        trend_config(b_max=16.0, seed=0, horizon=3000, warmup=0),
+        trend_config(b_max=20.0, seed=2, horizon=3000, warmup=0),
+    ],
+    ids=["unserved", "served"],
+)
+def test_pickups_at_every_horizon_are_the_long_table_cut(cfg):
+    # one table of the prefix and the tiled cycle, cut by one search: every
+    # horizon through two periods keeps exactly the pickups with X < H
+    arrivals = _arrivals_of(cfg)
+    t0, period = arrivals.t0, arrivals.period
+    assert t0 > 0 and period > 0
+    for v in range(1, cfg.graph.node_count):
+        assert arrivals.prefix[v].shape[1] > 0
+        b, xb = arrivals.pickups(v, cfg.horizon)
+        for horizon in range(t0 + 2 * period + 1):
+            cut, xcut = arrivals.pickups(v, horizon)
+            keep = xb < horizon
+            assert np.array_equal(cut, b[keep]) and np.array_equal(xcut, xb[keep])
+
+
 def test_random_instances_reach_both_battery_paths():
     paths = set()
 
@@ -929,6 +971,41 @@ def test_random_instances_reach_both_battery_paths():
 # ---------------------------------------------------------------------------
 # battery fleet cycles: each named case against the stepper oracle
 # ---------------------------------------------------------------------------
+
+@st.composite
+def _undersized_batteries(draw):
+    """Random trees, phase sets and capacities in [e_move * depth, 2 *
+    e_move * depth): accepted, but too small for a round trip to the depth."""
+    n = draw(st.integers(2, 9))
+    g = ac.build_graph(n, [(draw(st.integers(0, i - 1)), i) for i in range(1, n)])
+    L = 2 * (n - 1)
+    e_move = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    floor = e_move * max(ac.bfs_distances(g))
+    b_max = floor * draw(st.floats(1.0, 2.0, exclude_max=True))
+    assume(b_max < 2 * floor)
+    return ac.SimConfig(
+        graph=g,
+        phase_set=ac.PhaseSet(tuple(sorted(draw(st.sets(st.integers(0, L - 1), min_size=1)))), L),
+        model=ac.make_model((2.0,) * (n - 1), max_m=1),
+        alloc=ac.SensingAllocation((1,) * (n - 1)),
+        horizon=3000,
+        warmup=0,
+        seed=draw(st.integers(0, 2**20)),
+        energy=ac.EnergyParams(b_max=b_max, e_move=e_move, r_chg=draw(st.floats(0.25, 5.0))),
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_undersized_batteries())
+def test_below_a_round_trip_no_conveyor_reaches_a_deepest_node_property(cfg):
+    # after a recharge a conveyor leaves the base with b_max and spends at
+    # least (depth - 1) e_move to get within one hop of a deepest node; the
+    # follow rule then needs e_move (depth + 1) in hand to step onto it
+    depth = cfg.tree.depth
+    deepest = {v for v in range(1, cfg.graph.node_count) if depth[v] == max(depth)}
+    if _arrivals_of(cfg).period:
+        assert deepest <= set(sim_engine.unserved_nodes(cfg))
+
 
 def test_node_unserved_after_the_prefix_matches_stepper():
     cfg = ac.SimConfig(
