@@ -5,7 +5,9 @@ sensing mean enters twice (age accrues while a sample is sensed and again
 while the next one is), and the hop distance d_i, the depth of the scenario's
 shortest-path tree, is the minimum shipping time. Sweeps split a fixed robot
 budget between sensing and conveying to locate the best division of labor,
-and phase comparisons vary only the conveyor schedule.
+and phase comparisons vary only the conveyor schedule. Both build their whole
+list of scenarios first, so a variant that cannot be built fails before the
+first run, and one loop runs the list, each scenario's seeds back to back.
 """
 
 from __future__ import annotations
@@ -79,9 +81,14 @@ def seed_runs(cfg: SimConfig, seeds):
         yield run_energy(c) if c.energy is not None else run(c)
 
 
-def _network_mean_std(cfg: SimConfig, seeds) -> tuple[float, float]:
-    # no delivery log is read here, so none is built
-    return mean_std(list(map(attrgetter("network_aoi"), seed_runs(cfg, seeds))))
+def _mean_std_each(scenarios, seeds) -> list[tuple[float, float]]:
+    """`mean_std` of `network_aoi` over `seeds` per scenario: the scenarios in
+    order, each one's seeds back to back, under one draw store, since they vary
+    only an allocation or a phase set (see `shared_draws`)."""
+    seeds = list(seeds)
+    with shared_draws():
+        # no delivery log is read here, so none is built
+        return [mean_std([res.network_aoi for res in seed_runs(s, seeds)]) for s in scenarios]
 
 
 def split_sweep(cfg: SimConfig, total: int, seeds) -> tuple[list[SweepCell], SweepCell]:
@@ -92,34 +99,26 @@ def split_sweep(cfg: SimConfig, total: int, seeds) -> tuple[list[SweepCell], Swe
     asking for more conveyors than walk positions run one conveyor per walk
     position, and the cell records the n_c asked for. Returns all cells plus
     the argmin cell (ties resolve to the larger n_s, favoring sensing once
-    conveying is saturated). A split changes one node's allocation at a time,
-    so the runs share their generation processes (see `shared_draws`).
+    conveying is saturated). Every split is built before the first run, so a
+    split that cannot be built fails the sweep before any simulation.
     """
     k = cfg.graph.node_count - 1
     if total < k + 1:
         raise BudgetTooSmall(f"total {total} cannot cover {k} sensors plus one conveyor")
     L = cfg.walk.length
-    seeds = list(seeds)
-
-    cells: list[SweepCell] = []
-    best: SweepCell | None = None
-    with shared_draws():
-        for n_s in range(k, total):
-            n_c = total - n_s
-            alloc = water_fill(cfg.model, n_s)
-            split = replace(cfg, alloc=alloc, phase_set=uniform_phases(L, min(n_c, L)))
-            mean, std = _network_mean_std(split, seeds)
-            cell = SweepCell(
-                n_s=n_s,
-                n_c=n_c,
-                mean_aoi=mean,
-                std_aoi=std,
-                bound=lower_bound(split).network_bound,
-            )
-            cells.append(cell)
-            if best is None or cell.mean_aoi <= best.mean_aoi:  # ties: larger n_s wins
-                best = cell
-    return cells, best
+    n_s_values = range(k, total)
+    splits = [
+        replace(
+            cfg, alloc=water_fill(cfg.model, n_s), phase_set=uniform_phases(L, min(total - n_s, L))
+        )
+        for n_s in n_s_values
+    ]
+    cells = [
+        SweepCell(n_s, total - n_s, mean, std, lower_bound(split).network_bound)
+        for n_s, split, (mean, std) in zip(n_s_values, splits, _mean_std_each(splits, seeds))
+    ]
+    # the last least mean: ties resolve to the larger n_s
+    return cells, min(reversed(cells), key=attrgetter("mean_aoi"))
 
 
 def phase_comparison(
@@ -130,28 +129,20 @@ def phase_comparison(
     For each n_c the table holds one row for the evenly spread schedule, one
     for the clustered convoy, and one per seeded random draw; a final row
     carries the analytic floor of `cfg`'s allocation for reference. Only
-    the phase set changes, so every row's runs share their generation
-    processes (see `shared_draws`).
+    the phase set changes. Every schedule is built before the first run, so
+    a conveyor count that cannot be scheduled fails before any simulation.
     """
     L = cfg.walk.length
-    seeds = list(seeds)
-
-    rows: list[PhaseRow] = []
-    with shared_draws():
-        for n_c in n_c_values:
-            schedules = [("uniform", uniform_phases(L, n_c))]
-            schedules.append(("clustered", clustered_phases(n_c, L)))
-            for j in range(random_draws):
-                schedules.append((f"random{j}", random_phases(n_c, L, phase_seed + j)))
-            for name, phases in schedules:
-                mean, std = _network_mean_std(replace(cfg, phase_set=phases), seeds)
-                rows.append(PhaseRow(strategy=name, n_c=n_c, mean_aoi=mean, std_aoi=std))
-    rows.append(
-        PhaseRow(
-            strategy="bound",
-            n_c=None,
-            mean_aoi=lower_bound(cfg).network_bound,
-            std_aoi=0.0,
+    schedules = [
+        (name, n_c, phases)
+        for n_c in n_c_values
+        for name, phases in (
+            ("uniform", uniform_phases(L, n_c)),
+            ("clustered", clustered_phases(n_c, L)),
+            *((f"random{j}", random_phases(n_c, L, phase_seed + j)) for j in range(random_draws)),
         )
-    )
+    ]
+    results = _mean_std_each([replace(cfg, phase_set=phases) for *_, phases in schedules], seeds)
+    rows = [PhaseRow(name, n_c, *result) for (name, n_c, _), result in zip(schedules, results)]
+    rows.append(PhaseRow("bound", None, lower_bound(cfg).network_bound, 0.0))
     return rows

@@ -7,16 +7,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agecourier as ac
 from agecourier import analysis, cli, sim_engine
 from agecourier.analysis import BudgetTooSmall
+from agecourier.conveyor_plan import BudgetOutOfRange
+from agecourier.sensing_alloc import MaxMExceeded
 from agecourier.sim_engine import ConfigInvalid
 
 from _oracle import pickup_wait_mean, residual_life_mean, table_model
 from _support import (
     REF_ALPHAS,
     REF_BOUNDS_M1,
+    REF_L,
     REF_NETWORK_M1,
     REF_WATERFILL_10,
     checked_run,
@@ -173,6 +178,82 @@ def test_phase_comparison_shape_and_bound_row():
     # at full staffing every strategy degenerates to the same offset set
     full = [r for r in rows if r.n_c == 14]
     assert len({(r.mean_aoi, r.std_aoi) for r in full}) == 1
+
+
+def test_sweeps_build_every_variant_before_the_first_run(monkeypatch):
+    # a split or schedule that cannot be built fails the call before any run
+    runs = []
+
+    def run(cfg):
+        runs.append(cfg)
+        return sim_engine.run(cfg)
+
+    monkeypatch.setattr(analysis, "run", run)
+    cfg = ref_config(horizon=300, warmup=30, max_m=1)  # one robot per node
+    with pytest.raises(MaxMExceeded):
+        ac.split_sweep(cfg, 7 + 2, seeds=[0, 1])  # the second split needs a robot more
+    assert len(runs) == 0
+    with pytest.raises(BudgetOutOfRange):
+        ac.phase_comparison(cfg, (2, REF_L + 1), [0, 1], random_draws=1)
+    assert len(runs) == 0
+
+
+@st.composite
+def _experiments(draw):
+    n = draw(st.integers(2, 7))
+    g = ac.build_graph(n, [(draw(st.integers(0, i - 1)), i) for i in range(1, n)])
+    k, L = n - 1, 2 * (n - 1)
+    max_m = draw(st.integers(1, 3))
+    alphas = tuple(draw(st.lists(st.floats(1.0, 9.0), min_size=k, max_size=k)))
+    horizon = draw(st.integers(30, 400))
+    cfg = ac.SimConfig(
+        graph=g,
+        phase_set=ac.uniform_phases(L, draw(st.integers(1, L))),
+        model=ac.make_model(alphas, max_m),
+        alloc=ac.SensingAllocation((1,) * k),
+        horizon=horizon,
+        warmup=draw(st.integers(0, horizon - 1)),
+        seed=0,
+    )
+    seeds = draw(st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True))
+    total = draw(st.integers(k + 1, k * max_m + 1))  # every split water-fills
+    n_c_values = draw(st.lists(st.integers(1, L), min_size=1, max_size=2))
+    return cfg, seeds, total, n_c_values, draw(st.integers(0, 2)), draw(st.integers(0, 5))
+
+
+def _mean_std_of_runs(cfg, seeds):
+    return ac.mean_std([ac.run(dataclasses.replace(cfg, seed=s)).network_aoi for s in seeds])
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_experiments())
+def test_sweep_cells_and_phase_rows_equal_their_runs(case):
+    cfg, seeds, total, n_c_values, random_draws, phase_seed = case
+    L = cfg.walk.length
+    cells, best = ac.split_sweep(cfg, total, seeds)
+    for cell in cells:
+        split = dataclasses.replace(
+            cfg,
+            alloc=ac.water_fill(cfg.model, cell.n_s),
+            phase_set=ac.uniform_phases(L, min(cell.n_c, L)),
+        )
+        assert (cell.mean_aoi, cell.std_aoi) == _mean_std_of_runs(split, seeds)
+    least = min(c.mean_aoi for c in cells)
+    assert best == [c for c in cells if c.mean_aoi == least][-1]
+
+    rows = ac.phase_comparison(cfg, n_c_values, seeds, random_draws, phase_seed)
+    for row in rows[:-1]:
+        if row.strategy == "uniform":
+            phases = ac.uniform_phases(L, row.n_c)
+        elif row.strategy == "clustered":
+            phases = ac.clustered_phases(row.n_c, L)
+        else:
+            j = int(row.strategy.removeprefix("random"))
+            phases = ac.random_phases(row.n_c, L, phase_seed + j)
+        assert (row.mean_aoi, row.std_aoi) == _mean_std_of_runs(
+            dataclasses.replace(cfg, phase_set=phases), seeds
+        )
+    assert len(rows) == len(n_c_values) * (2 + random_draws) + 1
 
 
 @pytest.fixture
