@@ -84,11 +84,14 @@ def seed_runs(cfg: SimConfig, seeds):
 def _mean_std_each(scenarios, seeds) -> list[tuple[float, float]]:
     """`mean_std` of `network_aoi` over `seeds` per scenario: the scenarios in
     order, each one's seeds back to back, under one draw store, since they vary
-    only an allocation or a phase set (see `shared_draws`)."""
+    only an allocation or a phase set (see `shared_draws`). Equal scenarios,
+    such as every schedule of n_c = L conveyors, run once."""
     seeds = list(seeds)
     with shared_draws():
         # no delivery log is read here, so none is built
-        return [mean_std([res.network_aoi for res in seed_runs(s, seeds)]) for s in scenarios]
+        distinct = dict.fromkeys(scenarios)  # SimConfig is a frozen, hashable dataclass
+        results = {s: mean_std([res.network_aoi for res in seed_runs(s, seeds)]) for s in distinct}
+    return [results[s] for s in scenarios]
 
 
 def split_sweep(cfg: SimConfig, total: int, seeds) -> tuple[list[SweepCell], SweepCell]:

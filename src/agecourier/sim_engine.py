@@ -160,7 +160,7 @@ class SimResult:
     Most callers read only the ages, so the result holds no delivery columns.
     `log_blocks` is the run's log callable: each call replays the run's
     deliveries and gives the log in slot order as blocks of whole slots, at
-    most _LOG_BLOCK events each: (events, 4) int32 rows of origin,
+    most _LOG_BLOCK events each or one slot: (events, 4) int32 rows of origin,
     sensing_start, generated and delivered (`SimConfig` keeps every slot
     below 2**31; see `_log_blocks`). The reference stepper keeps its events
     and gives them as one block.
@@ -780,7 +780,9 @@ def _log_blocks(deliveries, k: int) -> Iterator[np.ndarray]:
     Each node's sensing starts, generation and delivery slots (its
     deliveries reversed) are held as int32 rows (`SimConfig` keeps the
     horizon below 2**31), 12 bytes an event; no per-slot array is made. A
-    block is 16 bytes an event, and merging it holds about twice that.
+    block is 16 bytes an event, and merging it holds about twice that. The
+    cuts read an 8-byte event count per bucket up to the last delivery: no
+    more than one node's generation words (8 * ceil(H / 64) bytes) while k <= 1,024.
     """
     per_node = [np.array(deliveries(node)[::-1], dtype=np.int32) for node in range(1, k + 1)]
     return _merge_blocks(per_node)
@@ -788,23 +790,19 @@ def _log_blocks(deliveries, k: int) -> Iterator[np.ndarray]:
 
 def _merge_blocks(per_node: list[np.ndarray]) -> Iterator[np.ndarray]:
     """per_node's rows of sensing starts, generations and deliveries as the
-    log's blocks. Each block spans the slots that _LOG_BLOCK events take at
-    the remaining events' mean rate, halved until it holds at most
-    _LOG_BLOCK events, so uneven delivery rates never grow a block past that."""
-    n = sum(p.shape[1] for p in per_node)
-    end = max((int(p[2, -1]) + 1 for p in per_node if p.shape[1]), default=0)
-    at, start = [0] * len(per_node), 0
-    while n:
-        span = max(1, (end - start) * _LOG_BLOCK // n)
-        while True:
-            stop = [int(np.searchsorted(p[2], start + span)) for p in per_node]
-            count = sum(stop) - sum(at)
-            if count <= _LOG_BLOCK or span == 1:  # one slot holds at most k events
-                break
-            span //= 2
-        if count:
+    log's blocks: the longest runs of whole max(1, _LOG_BLOCK // k)-slot buckets
+    with at most _LOG_BLOCK events. A node delivers at most once a slot (see
+    `_backward`), so only a one-slot bucket, if k > _LOG_BLOCK, overfills: a block alone."""
+    width = max(1, _LOG_BLOCK // len(per_node))
+    buckets = max((int(p[2, -1]) // width + 1 for p in per_node if p.shape[1]), default=0)
+    filled = np.cumsum(sum(np.bincount(p[2] // width, minlength=buckets) for p in per_node))
+    at, done = [0] * len(per_node), 0
+    while done < filled.size:
+        done = max(done + 1, int(np.searchsorted(filled, sum(at) + _LOG_BLOCK, "right")))
+        stop = [int(np.searchsorted(p[2], done * width)) for p in per_node]
+        if stop != at:  # not the empty buckets before a slot that overfills alone
             yield _merged(per_node, at, stop)
-        at, start, n = stop, start + span, n - count
+        at = stop
 
 
 def _merged(per_node: list[np.ndarray], at: list[int], stop: list[int]) -> np.ndarray:

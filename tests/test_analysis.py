@@ -180,15 +180,21 @@ def test_phase_comparison_shape_and_bound_row():
     assert len({(r.mean_aoi, r.std_aoi) for r in full}) == 1
 
 
-def test_sweeps_build_every_variant_before_the_first_run(monkeypatch):
-    # a split or schedule that cannot be built fails the call before any run
-    runs = []
+@pytest.fixture
+def runs(monkeypatch):
+    """Every scenario that `analysis` runs, in call order."""
+    calls = []
 
     def run(cfg):
-        runs.append(cfg)
+        calls.append(cfg)
         return sim_engine.run(cfg)
 
     monkeypatch.setattr(analysis, "run", run)
+    return calls
+
+
+def test_sweeps_build_every_variant_before_the_first_run(runs):
+    # a split or schedule that cannot be built fails the call before any run
     cfg = ref_config(horizon=300, warmup=30, max_m=1)  # one robot per node
     with pytest.raises(MaxMExceeded):
         ac.split_sweep(cfg, 7 + 2, seeds=[0, 1])  # the second split needs a robot more
@@ -196,6 +202,23 @@ def test_sweeps_build_every_variant_before_the_first_run(monkeypatch):
     with pytest.raises(BudgetOutOfRange):
         ac.phase_comparison(cfg, (2, REF_L + 1), [0, 1], random_draws=1)
     assert len(runs) == 0
+
+
+def test_equal_schedules_run_once(runs):
+    # at n_c = L every schedule staffs every walk offset: one scenario
+    cfg = ref_config(horizon=300, warmup=30)
+    schedules = [
+        ac.uniform_phases(REF_L, REF_L),
+        ac.clustered_phases(REF_L, REF_L),
+        *(ac.random_phases(REF_L, REF_L, j) for j in range(2)),
+    ]
+    assert len(set(schedules)) == 1
+    rows = ac.phase_comparison(cfg, (REF_L,), [0, 1], random_draws=2)
+    assert len(runs) == 2
+    assert [r.strategy for r in rows] == ["uniform", "clustered", "random0", "random1", "bound"]
+    for row, phases in zip(rows, schedules):
+        expected = _mean_std_of_runs(dataclasses.replace(cfg, phase_set=phases), [0, 1])
+        assert (row.mean_aoi, row.std_aoi) == expected
 
 
 @st.composite

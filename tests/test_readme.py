@@ -38,6 +38,19 @@ def test_readme_library_tour_runs():
     ],
 )
 def test_readme_example_config_runs(tmp_path, capsys, command, header):
+    assert _example_output(tmp_path, capsys, command)[0] == header
+
+
+def test_readme_example_phases_compare_schedules_at_the_configured_n_c(tmp_path, capsys):
+    # the example has no [phases] section, so `phases` reads [conveyors] n_c
+    rows = [line.split(",")[:2] for line in _example_output(tmp_path, capsys, "phases")]
+    names = ("uniform", "clustered", *(f"random{j}" for j in range(5)))
+    schedules = [[name, "14"] for name in names]
+    assert rows == [["strategy", "n_c"], *schedules, ["bound", ""]]
+
+
+def _example_output(tmp_path, capsys, command) -> list[str]:
+    """The lines that `command` prints on the README example config, comments dropped."""
     text = README.read_text(encoding="utf-8")
     example = text[text.index("### Example config") : text.index("### Config reference")]
     block = re.search(r"```ini\n(.*?)```", example, re.DOTALL)
@@ -45,8 +58,7 @@ def test_readme_example_config_runs(tmp_path, capsys, command, header):
     path = tmp_path / "example.ini"
     path.write_text(block.group(1))
     assert main([command, "--config", str(path)]) == 0
-    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
-    assert lines[0] == header
+    return [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
 
 
 def test_readme_config_reference_lists_every_known_key():

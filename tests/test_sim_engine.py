@@ -515,13 +515,49 @@ def test_log_blocks_concatenate_to_the_log_before_and_after_a_read(cfg):
 
 
 def test_log_blocks_hold_at_most_the_block_size_on_uneven_deliveries(monkeypatch):
-    # Deliveries are not spread evenly over the slots, so equal slot spans
-    # sized at the log's mean rate overfill some blocks: on this battery run
-    # (five of nine nodes unserved once the motion repeats) such spans sized
-    # for 200 events hold up to 226.
+    # Deliveries are not spread evenly over the slots: on this battery run
+    # five of nine nodes are unserved once the motion repeats, so the events
+    # a slot span holds vary widely along the log. Blocks are cut on
+    # per-bucket event counts, so none holds more than 200.
     monkeypatch.setattr(sim_engine, "_LOG_BLOCK", 200)
     res = ac.run_energy(trend_config(b_max=8.0, seed=0))
     assert _concatenated(res.log_blocks()) == res.delivery_log
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 9), st.integers(0, 2**20), st.booleans(), st.integers(1, 24))
+def test_log_blocks_are_the_longest_runs_of_whole_buckets_that_fit(n, seed, battery, size):
+    # A block is the most whole buckets of size // k slots that hold at most
+    # size events. A node delivers at most once a slot, so only a one-slot
+    # bucket, when k > size, holds more, and it is then a block of its own.
+    rng = np.random.default_rng(seed)
+    g, k = random_tree_graph(rng, n), n - 1
+    energy = None
+    if battery:
+        depth = max(ac.bfs_distances(g))
+        energy = ac.EnergyParams(b_max=depth + float(rng.choice([0, 2, 8])), e_move=1.0, r_chg=2.0)
+    horizon = int(rng.integers(20, 3000))
+    cfg = ac.SimConfig(
+        graph=g,
+        phase_set=ac.PhaseSet(tuple(sorted(set(rng.integers(0, 2 * k, 2 * k).tolist()))), 2 * k),
+        model=ac.make_model(tuple(rng.uniform(1.0, 9.0, k)), max_m=3),
+        alloc=ac.SensingAllocation(tuple(rng.integers(1, 4, k).tolist())),
+        horizon=horizon,
+        warmup=0,
+        seed=seed,
+        energy=energy,
+    )
+    res = _run(cfg)
+    log = res.delivery_log  # one block at the default size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_engine, "_LOG_BLOCK", size)
+        blocks = list(res.log_blocks())
+    assert ac.DeliveryLog(*np.concatenate([*blocks, np.empty((0, 4), np.int32)]).T) == log
+    for b in blocks:
+        assert len(b) and (len(b) <= size or k > size and b[0, 3] == b[-1, 3])
+    for a, b in zip(blocks, blocks[1:]):
+        assert a[-1, 3] < b[0, 3]  # whole slots
+        assert len(a) + len(b) > size  # each block is the longest that fits
 
 
 def test_same_seed_reproducible_and_seeds_differ():
@@ -564,6 +600,10 @@ def test_event_log_no_events_is_a_pure_ramp():
     empty = ac.DeliveryLog([], [], [], [])
     out = ac.aoi_from_event_log(empty, horizon=9, origins=[1, 2])
     assert out == {1: 36 / 9, 2: 36 / 9}
+    # int64 ramp sums, as SimConfig checks
+    assert ac.aoi_from_event_log(empty, horizon=2**31 - 1, origins=[1]) == {1: (2**31 - 2) / 2}
+    with pytest.raises(ValueError, match=f"horizon must be < 2\\*\\*31, got {2**31}"):
+        ac.aoi_from_event_log(empty, horizon=2**31, origins=[1])
 
 
 def test_a_delivery_log_checks_its_columns():
