@@ -21,10 +21,6 @@ from .sensing_alloc import mu, water_fill
 from .sim_engine import SimConfig, run, run_energy, shared_draws
 
 
-class BudgetTooSmall(ValueError):
-    """Total robot budget cannot cover one sensor per node plus one conveyor."""
-
-
 @dataclass(frozen=True)
 class BoundReport:
     per_node_bound: dict[int, float]
@@ -107,7 +103,7 @@ def split_sweep(cfg: SimConfig, total: int, seeds) -> tuple[list[SweepCell], Swe
     """
     k = cfg.graph.node_count - 1
     if total < k + 1:
-        raise BudgetTooSmall(f"total {total} cannot cover {k} sensors plus one conveyor")
+        raise ValueError(f"total {total} cannot cover {k} sensors plus one conveyor")
     L = cfg.walk.length
     n_s_values = range(k, total)
     splits = [

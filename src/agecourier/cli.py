@@ -294,24 +294,21 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", required=True, help="experiment config file")
-    shared.add_argument(
-        "--seed", type=int, default=None, help="replace the config's seed list with this seed"
-    )
-    shared.add_argument("--out", default=None, help="write the table here instead of stdout")
-    shared.add_argument(
-        "--echo-config",
-        action="store_true",
-        help="print the normalized config and exit without running",
-    )
     parser = argparse.ArgumentParser(
         prog="agecourier",
         description="Simulate and optimize age-of-information for sensing and courier robots",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[shared])
+    parser.add_argument("command", choices=_COMMANDS, help="the subcommand to run")
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="replace the config's seed list with this seed"
+    )
+    parser.add_argument("--out", default=None, help="write the table here instead of stdout")
+    parser.add_argument(
+        "--echo-config",
+        action="store_true",
+        help="print the normalized config and exit without running",
+    )
     return parser
 
 

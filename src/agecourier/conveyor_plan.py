@@ -19,10 +19,6 @@ import numpy as np
 from .graph_core import BASE, ShortestPathTree
 
 
-class BudgetOutOfRange(ValueError):
-    """Conveyor count outside 1..L."""
-
-
 @dataclass(frozen=True)
 class EulerWalk:
     """Closed walk w_0..w_L with w_0 = w_L = base, one edge per step."""
@@ -101,4 +97,4 @@ def random_phases(n_c: int, walk_length: int, seed: int) -> PhaseSet:
 
 def _check_budget(n_c: int, walk_length: int) -> None:
     if not 1 <= n_c <= walk_length:
-        raise BudgetOutOfRange(f"conveyor count {n_c} outside 1..{walk_length}")
+        raise ValueError(f"conveyor count {n_c} outside 1..{walk_length}")

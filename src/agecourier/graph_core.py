@@ -15,23 +15,7 @@ BASE = 0
 
 
 class GraphError(ValueError):
-    """Base class for graph construction failures."""
-
-
-class IndexOutOfRange(GraphError):
-    """An edge endpoint falls outside 0..node_count-1."""
-
-
-class SelfLoop(GraphError):
-    """An edge joins a node to itself."""
-
-
-class DuplicateEdge(GraphError):
-    """The same undirected edge was given twice."""
-
-
-class DisconnectedGraph(GraphError):
-    """Some node cannot reach the base."""
+    """A graph that cannot be built; the message names the defect."""
 
 
 @dataclass(frozen=True)
@@ -68,25 +52,25 @@ class ShortestPathTree:
 def build_graph(node_count: int, edges) -> Graph:
     """Validate an edge list and return a connected Graph.
 
-    Raises IndexOutOfRange, SelfLoop, DuplicateEdge, or DisconnectedGraph on
-    the corresponding defect; node_count must be at least 2.
+    Raises GraphError on an endpoint outside 0..node_count-1, a self-loop, a
+    duplicate edge or a node the base cannot reach; node_count must be at least 2.
     """
     if node_count < 2:
         raise GraphError(f"node_count must be at least 2, got {node_count}")
     canon: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (0 <= u < node_count and 0 <= v < node_count):
-            raise IndexOutOfRange(f"edge ({u}, {v}) outside 0..{node_count - 1}")
+            raise GraphError(f"edge ({u}, {v}) outside 0..{node_count - 1}")
         if u == v:
-            raise SelfLoop(f"self-loop at node {u}")
+            raise GraphError(f"self-loop at node {u}")
         e = (u, v) if u < v else (v, u)
         if e in canon:
-            raise DuplicateEdge(f"duplicate edge ({e[0]}, {e[1]})")
+            raise GraphError(f"duplicate edge ({e[0]}, {e[1]})")
         canon.add(e)
     g = Graph(node_count=node_count, edges=frozenset(canon))
     missing = [i for i, d in enumerate(bfs_distances(g)) if d < 0]
     if missing:
-        raise DisconnectedGraph(f"nodes unreachable from base: {missing}")
+        raise GraphError(f"nodes unreachable from base: {missing}")
     return g
 
 

@@ -20,10 +20,6 @@ from dataclasses import dataclass
 from math import inf
 
 
-class NonPositiveAlpha(ValueError):
-    """Sensing workload alpha must be finite and strictly positive."""
-
-
 class ConvexityViolation(ValueError):
     """Marginal benefits increase somewhere, breaking greedy optimality."""
 
@@ -33,18 +29,6 @@ class ConvexityViolation(ValueError):
         super().__init__(
             f"marginal benefit increases at node index {node}, m={m}"
         )
-
-
-class OutOfRange(ValueError):
-    """Node index or robot count outside the model's domain."""
-
-
-class InsufficientBudget(ValueError):
-    """Fewer sensing robots than nodes; every node needs at least one."""
-
-
-class MaxMExceeded(ValueError):
-    """An allocation would push some node beyond max_m robots."""
 
 
 @dataclass(frozen=True)
@@ -63,15 +47,15 @@ class SensingModel:
 
     def __post_init__(self):
         if not self.mu_table:
-            raise OutOfRange("a model needs at least one node")
+            raise ValueError("a model needs at least one node")
         lengths = sorted({len(row) for row in self.mu_table})
         if len(lengths) > 1 or lengths[0] < 1:
-            raise OutOfRange(f"mu_table rows must all hold max_m >= 1 entries, got {lengths}")
+            raise ValueError(f"mu_table rows must all hold max_m >= 1 entries, got {lengths}")
         for i, row in enumerate(self.mu_table):
             if not all(0 < v < inf for v in row):
-                raise NonPositiveAlpha(f"mu values at index {i} must be finite and > 0")
+                raise ValueError(f"mu values at index {i} must be finite and > 0")
             if min(row) < 1:  # q = 1 / mu is a probability
-                raise OutOfRange(f"mu values at index {i} must be at least one slot")
+                raise ValueError(f"mu values at index {i} must be at least one slot")
         for i, row in enumerate(self.mu_table):
             for m in range(1, len(row)):
                 if row[m] > row[m - 1]:
@@ -111,16 +95,16 @@ def make_model(alphas, max_m: int) -> SensingModel:
     alphas = tuple(float(a) for a in alphas)
     for i, a in enumerate(alphas):
         if not 0 < a < inf:
-            raise NonPositiveAlpha(f"alpha at index {i} must be finite and > 0, got {a}")
+            raise ValueError(f"alpha at index {i} must be finite and > 0, got {a}")
     ms = range(1, max_m + 1)
     return SensingModel(mu_table=tuple(tuple(max(a / m, 1.0) for m in ms) for a in alphas))
 
 
 def _check_index(model: SensingModel, i: int, m: int) -> None:
     if not 0 <= i < model.node_count:
-        raise OutOfRange(f"node index {i} outside 0..{model.node_count - 1}")
+        raise ValueError(f"node index {i} outside 0..{model.node_count - 1}")
     if not 1 <= m <= model.max_m:
-        raise OutOfRange(f"robot count {m} outside 1..{model.max_m}")
+        raise ValueError(f"robot count {m} outside 1..{model.max_m}")
 
 
 def mu(model: SensingModel, i: int, m: int) -> float:
@@ -138,7 +122,7 @@ def success_probability(model: SensingModel, i: int, m: int) -> float:
 def allocation_objective(model: SensingModel, alloc: SensingAllocation) -> float:
     """Sum of per-node mean sensing times under the allocation."""
     if len(alloc.m) != model.node_count:
-        raise OutOfRange("allocation length does not match model")
+        raise ValueError("allocation length does not match model")
     return sum(mu(model, i, mi) for i, mi in enumerate(alloc.m))
 
 
@@ -148,7 +132,7 @@ def water_fill(model: SensingModel, n_s: int) -> SensingAllocation:
     lowest node index). Optimal because marginal benefits never increase."""
     k, max_m = model.node_count, model.max_m
     if n_s < k:
-        raise InsufficientBudget(f"need at least {k} robots, got {n_s}")
+        raise ValueError(f"need at least {k} robots, got {n_s}")
     m = [1] * k
     for _ in range(n_s - k):
         best_i = -1
@@ -161,7 +145,7 @@ def water_fill(model: SensingModel, n_s: int) -> SensingAllocation:
                 best_b = b
                 best_i = i
         if best_i < 0:
-            raise MaxMExceeded(f"all nodes already at max_m={max_m}")
+            raise ValueError(f"all nodes already at max_m={max_m}")
         m[best_i] += 1
     return SensingAllocation(m=tuple(m))
 
@@ -171,9 +155,9 @@ def uniform_alloc(model: SensingModel, n_s: int) -> SensingAllocation:
     node indices."""
     k = model.node_count
     if n_s < k:
-        raise InsufficientBudget(f"need at least {k} robots, got {n_s}")
+        raise ValueError(f"need at least {k} robots, got {n_s}")
     base, extra = divmod(n_s, k)
     m = tuple(base + 1 if i < extra else base for i in range(k))
     if m[0] > model.max_m:
-        raise MaxMExceeded(f"uniform share {m[0]} exceeds max_m={model.max_m}")
+        raise ValueError(f"uniform share {m[0]} exceeds max_m={model.max_m}")
     return SensingAllocation(m=m)

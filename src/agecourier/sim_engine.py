@@ -44,6 +44,7 @@ results across trees, phases, and batteries.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -61,20 +62,12 @@ from .sensing_alloc import SensingAllocation, SensingModel, success_probability
 _FOLLOW, _RETURN, _CHARGE, _HOLD = 0, 1, 2, 3
 
 
-class InvalidProbability(ValueError):
-    """Success probability outside (0, 1]."""
-
-
 class ConfigInvalid(ValueError):
     """Simulation configuration pieces disagree with each other."""
 
 
 class BatteryTooSmall(ValueError):
     """Battery capacity cannot cover a return trip from the deepest node."""
-
-
-class UnsortedLog(ValueError):
-    """Delivery events are not time-ordered per origin."""
 
 
 @dataclass(frozen=True)
@@ -200,11 +193,13 @@ class SimConfig:
 
     def __post_init__(self):
         k = self.graph.node_count - 1
+        for name in ("horizon", "warmup", "seed"):
+            _integer(name, getattr(self, name))
         if not 0 <= self.warmup < self.horizon:
             raise ConfigInvalid(
                 f"need 0 <= warmup < horizon, got warmup={self.warmup}, horizon={self.horizon}"
             )
-        if 2 * self.horizon**2 >= 2**63:  # int64 age sums (lo + hi - 1) * n
+        if self.horizon >= 2**31:  # int64 age sums (lo + hi - 1) * n < 2 * horizon**2
             raise ConfigInvalid(f"horizon must be < 2**31, got {self.horizon}")
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
@@ -233,6 +228,14 @@ class SimConfig:
         return _tree_and_walk(self.graph)[1]
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int: a numpy integer passes, a float, even a whole one, does not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigInvalid(f"{name} must be an integer, got {value!r}") from None
+
+
 @lru_cache(maxsize=16)
 def _tree_and_walk(graph: Graph) -> tuple[ShortestPathTree, EulerWalk]:
     """One tree and walk per graph, shared by every copy of a scenario."""
@@ -258,7 +261,7 @@ def generation_mask(seed: int, node: int, q: float, horizon: int) -> np.ndarray:
     one draw of `horizon` values without holding them all.
     """
     if not 0.0 < q <= 1.0:
-        raise InvalidProbability(f"q must be in (0, 1], got {q}")
+        raise ValueError(f"q must be in (0, 1], got {q}")
     stream = _node_stream(seed, node)
     mask = np.empty(horizon, dtype=bool)
     buf = np.empty(min(horizon, _DRAW_BLOCK))
@@ -837,12 +840,13 @@ def aoi_from_event_log(
     the slot sampled averages of the run that produced the log.
 
     origins fixes the node set (needed when some node never delivered); by
-    default the nodes present in the log are used. Raises UnsortedLog if any
-    origin's events are out of time order.
+    default the nodes present in the log are used. Raises ValueError if any
+    origin's events are out of time order, or horizon or warmup is not an integer.
     """
+    horizon, warmup = _integer("horizon", horizon), _integer("warmup", warmup)
     if not 0 <= warmup < horizon:
         raise ValueError(f"need 0 <= warmup < horizon, got {warmup}, {horizon}")
-    if 2 * horizon**2 >= 2**63:  # int64 ramp sums, as SimConfig checks
+    if horizon >= 2**31:  # int64 ramp sums, as SimConfig checks
         raise ValueError(f"horizon must be < 2**31, got {horizon}")
     order = np.argsort(log.origin, kind="stable")  # group by origin, log order within
     org, dlv, srt = log.origin[order], log.delivered[order], log.sensing_start[order]
@@ -852,7 +856,7 @@ def aoi_from_event_log(
     unsorted = set(org[1:][(org[1:] == org[:-1]) & (dlv[1:] <= dlv[:-1])].tolist())
     for node in origins:
         if node in unsorted:
-            raise UnsortedLog(f"events for origin {node} are not time-ordered")
+            raise ValueError(f"events for origin {node} are not time-ordered")
 
     first = np.flatnonzero(np.diff(org, prepend=org[:1] - 1))  # each origin's first event
     rise = np.diff(srt, prepend=0)

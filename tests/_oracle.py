@@ -22,7 +22,7 @@ import numpy as np
 
 import agecourier as ac
 from agecourier.graph_core import BASE
-from agecourier.sensing_alloc import InsufficientBudget, MaxMExceeded, success_probability
+from agecourier.sensing_alloc import success_probability
 from agecourier.sim_engine import _fleet
 
 BRUTE_FORCE_LIMIT = 10**7
@@ -42,7 +42,7 @@ def brute_force_alloc(model: ac.SensingModel, n_s: int) -> ac.SensingAllocation:
     lexicographically smallest allocation."""
     k = model.node_count
     if n_s < k:
-        raise InsufficientBudget(f"need at least {k} robots, got {n_s}")
+        raise ValueError(f"need at least {k} robots, got {n_s}")
     count = comb(n_s - 1, k - 1)
     if count > BRUTE_FORCE_LIMIT:
         raise InstanceTooLarge(f"{count} compositions exceed {BRUTE_FORCE_LIMIT}")
@@ -60,7 +60,7 @@ def brute_force_alloc(model: ac.SensingModel, n_s: int) -> ac.SensingAllocation:
             best_obj = obj
             best_m = parts
     if best_m is None:
-        raise MaxMExceeded(f"no allocation of {n_s} fits under max_m={model.max_m}")
+        raise ValueError(f"no allocation of {n_s} fits under max_m={model.max_m}")
     return ac.SensingAllocation(m=best_m)
 
 

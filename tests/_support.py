@@ -18,7 +18,6 @@ import tracemalloc
 import numpy as np
 
 import agecourier as ac
-from agecourier.sim_engine import UnsortedLog
 
 # ---------------------------------------------------------------------------
 # The 8-node reference instance used throughout: a tree with arms
@@ -189,7 +188,7 @@ def aoi_from_event_log_loop(
         d = dlv[lo:hi]
         s = srt[lo:hi]
         if d.size and np.any(d[1:] <= d[:-1]):
-            raise UnsortedLog(f"events for origin {node} are not time-ordered")
+            raise ValueError(f"events for origin {node} are not time-ordered")
         total = 0
         prev_d = 0
         prev_s = 0

@@ -12,9 +12,6 @@ from hypothesis import strategies as st
 
 import agecourier as ac
 from agecourier import analysis, cli, sim_engine
-from agecourier.analysis import BudgetTooSmall
-from agecourier.conveyor_plan import BudgetOutOfRange
-from agecourier.sensing_alloc import MaxMExceeded
 from agecourier.sim_engine import ConfigInvalid
 
 from _oracle import pickup_wait_mean, residual_life_mean, table_model
@@ -116,7 +113,7 @@ def test_mean_std():
 
 
 def test_split_sweep_budget_guard():
-    with pytest.raises(BudgetTooSmall):
+    with pytest.raises(ValueError, match="^total 7 cannot cover 7 sensors plus one conveyor$"):
         ac.split_sweep(ref_config(horizon=300, warmup=30), 7, seeds=[0])
 
 
@@ -196,10 +193,10 @@ def runs(monkeypatch):
 def test_sweeps_build_every_variant_before_the_first_run(runs):
     # a split or schedule that cannot be built fails the call before any run
     cfg = ref_config(horizon=300, warmup=30, max_m=1)  # one robot per node
-    with pytest.raises(MaxMExceeded):
+    with pytest.raises(ValueError, match="^all nodes already at max_m=1$"):
         ac.split_sweep(cfg, 7 + 2, seeds=[0, 1])  # the second split needs a robot more
     assert len(runs) == 0
-    with pytest.raises(BudgetOutOfRange):
+    with pytest.raises(ValueError, match="^conveyor count 15 outside 1..14$"):
         ac.phase_comparison(cfg, (2, REF_L + 1), [0, 1], random_draws=1)
     assert len(runs) == 0
 

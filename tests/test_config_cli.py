@@ -853,6 +853,29 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 1 and "alpha" in err
 
 
+def test_flags_parse_before_or_after_the_subcommand(tmp_path, capsys):
+    path = write_config(tmp_path)
+    after = run_cli(capsys, "bound", "--config", path, "--seed", "3")
+    before = run_cli(capsys, "--config", path, "--seed", "3", "bound")
+    around = run_cli(capsys, "--seed", "3", "bound", "--config", path)
+    assert after[0] == 0 and after[1].startswith("# agecourier")
+    assert before == after == around
+
+
+def test_the_usage_names_every_subcommand(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["launch", "--config", write_config(tmp_path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "invalid choice: 'launch'" in err
+    choices = err[err.index("choose from") :]
+    assert all(name in choices for name in cli._COMMANDS) and len(cli._COMMANDS) == 7
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert "{bound,waterfill,walk,phases,audit,simulate,sweep}" in out
+
+
 def test_cli_out_file_matches_stdout(tmp_path, capsys):
     path = write_config(tmp_path)
     code, out, _ = run_cli(capsys, "bound", "--config", path)

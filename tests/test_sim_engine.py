@@ -19,8 +19,6 @@ from agecourier.sim_engine import (
     BASE,
     BatteryTooSmall,
     ConfigInvalid,
-    InvalidProbability,
-    UnsortedLog,
     _NEVER,
     _deliveries,
     _fleet_arrivals,
@@ -56,7 +54,7 @@ def test_generation_mask_matches_stream_and_probability():
     other_seed = ac.generation_mask(8, 2, 0.3, 50_000)
     assert not np.array_equal(mask, other_node)
     assert not np.array_equal(mask, other_seed)
-    with pytest.raises(InvalidProbability):
+    with pytest.raises(ValueError, match=r"^q must be in \(0, 1\], got 0.0$"):
         ac.generation_mask(7, 2, 0.0, 10)
 
 
@@ -153,6 +151,28 @@ def test_horizon_too_long_for_int64_age_sums_is_rejected():
     dataclasses.replace(good, horizon=2**31 - 1)
     with pytest.raises(ConfigInvalid, match="horizon"):
         dataclasses.replace(good, horizon=2**31)
+
+
+@pytest.mark.parametrize("name, value", [("horizon", 3000.0), ("warmup", 100.0), ("seed", 1.0)])
+def test_slot_counts_and_seeds_must_be_integers(name, value):
+    good = ref_config(horizon=3000, warmup=100)
+    with pytest.raises(ConfigInvalid, match=f"^{name} must be an integer, got {value!r}$"):
+        dataclasses.replace(good, **{name: value})
+    # numpy integers are integers
+    assert checked_run(dataclasses.replace(good, **{name: np.int64(value)})) == checked_run(
+        dataclasses.replace(good, **{name: int(value)})
+    )
+
+
+def test_event_log_slot_counts_must_be_integers():
+    log = ac.DeliveryLog([1], [1], [2], [3])
+    with pytest.raises(ConfigInvalid, match=r"^horizon must be an integer, got 3000\.0$"):
+        ac.aoi_from_event_log(log, 3000.0)
+    with pytest.raises(ConfigInvalid, match=r"^warmup must be an integer, got 10\.0$"):
+        ac.aoi_from_event_log(log, 3000, warmup=10.0)
+    assert ac.aoi_from_event_log(log, np.int64(3000), np.int64(10)) == ac.aoi_from_event_log(
+        log, 3000, 10
+    )
 
 
 def test_run_dispatch_guards():
@@ -624,11 +644,11 @@ def test_a_delivery_log_checks_its_columns():
 
 def test_event_log_respects_order():
     unsorted = ac.DeliveryLog([1, 1], [0, 2], [1, 3], [5, 4])
-    with pytest.raises(UnsortedLog):
+    with pytest.raises(ValueError, match="^events for origin 1 are not time-ordered$"):
         ac.aoi_from_event_log(unsorted, horizon=8)
     # origins interleave in slot order; only origin 2's own events go backwards
     interleaved = ac.DeliveryLog([1, 2, 1, 2], [0, 0, 2, 1], [1, 1, 3, 2], [2, 6, 4, 5])
-    with pytest.raises(UnsortedLog, match="origin 2"):
+    with pytest.raises(ValueError, match="^events for origin 2 are not time-ordered$"):
         ac.aoi_from_event_log(interleaved, horizon=8)
     with pytest.raises(ValueError):
         ac.aoi_from_event_log(ac.DeliveryLog([1], [1], [2], [3]), horizon=5, warmup=5)
@@ -668,8 +688,8 @@ def test_event_log_reconstruction_equals_the_event_loop_property(case):
     log, horizon, warmup, origins = case
     try:
         expected = aoi_from_event_log_loop(log, horizon, warmup, origins)
-    except UnsortedLog as exc:
-        with pytest.raises(UnsortedLog, match=str(exc)):
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
             ac.aoi_from_event_log(log, horizon, warmup, origins)
         return
     assert ac.aoi_from_event_log(log, horizon, warmup, origins) == expected
